@@ -1,11 +1,13 @@
 //! Host wall-clock benchmarks of the simulator's hot path.
 //!
 //! These time the *simulator itself* — not the simulated machine — on the
-//! three layers the hot-path overhaul touched:
+//! layers that dominate its host time:
 //!
 //! * the packed SoA cache model (`Cache::access`/`fill` throughput),
 //! * the gap-filling occupancy timeline behind NoC links, DRAM channels,
 //!   and software serialization points (`GapTracker::reserve`),
+//! * the prefetch pipeline of a WDP engine starved of credits
+//!   (`PrefetchPipeline::pump`),
 //! * full executor runs of one fig16-style point per scheduler, i.e. the
 //!   dequeue → record → charge → enqueue inner loop end to end.
 //!
@@ -19,6 +21,7 @@ use std::hint::black_box;
 
 use minnow_algos::WorkloadKind;
 use minnow_bench::runner::BenchRun;
+use minnow_core::wdp::PrefetchPipeline;
 use minnow_sim::cache::Cache;
 use minnow_sim::config::CacheParams;
 use minnow_sim::contend::GapTracker;
@@ -61,22 +64,49 @@ fn bench_packed_cache(c: &mut Criterion) {
 }
 
 fn bench_gap_tracker(c: &mut Criterion) {
-    // Out-of-order reservations with a drifting base time: the steady
-    // state keeps the window full, which is exactly the regime the NoC
-    // links and DRAM channels run in mid-simulation.
+    // The request shape the fabric sees mid-simulation: nine in ten
+    // requests land within a few bookings of the newest one, the rest come
+    // from far in the past (prefetches stamped with a stale issue clock).
+    // Once warm, the window sits at its 256-interval cap.
     c.bench_function("hotpath/gap_tracker_reserve_steady_state", |b| {
         b.iter_batched(
             GapTracker::new,
             |mut t| {
                 let mut state = 0x9e37_79b9u64;
-                for i in 0..4096u64 {
-                    let jitter = lcg(&mut state) % 64;
-                    black_box(t.reserve(i * 4 + jitter, 2));
+                let mut newest: u64 = 1 << 20;
+                for _ in 0..4096u64 {
+                    let r = lcg(&mut state);
+                    if r.is_multiple_of(10) {
+                        black_box(t.reserve(newest - (1 << 16) - r % 4096, 8));
+                    } else {
+                        newest = t.reserve(newest + r % 64 - 32, 8);
+                    }
                 }
                 black_box(t.horizon())
             },
             BatchSize::SmallInput,
         );
+    });
+}
+
+fn bench_prefetch_pump_starved(c: &mut Criterion) {
+    // An engine whose 32 credits all sit in lines no demand access
+    // consumes: every pump after the first stops on the credit check with
+    // a full load buffer, where most PR/wdp pumps end.
+    let cfg = SimConfig::small(1);
+    let mut mem = MemoryHierarchy::new(&cfg);
+    let mut pipeline = PrefetchPipeline::new(&cfg.engine, 32);
+    pipeline.enqueue_program((0..64u64).map(|i| 0x100_0000 + i * 64));
+    let mut now = 1_000_000;
+    pipeline.pump(0, now, &mut mem);
+    c.bench_function("hotpath/prefetch_pump_credit_starved", |b| {
+        b.iter(|| {
+            for _ in 0..4096 {
+                now += 16;
+                pipeline.pump(0, black_box(now), &mut mem);
+            }
+            black_box(pipeline.stats().credit_stalls)
+        });
     });
 }
 
@@ -127,6 +157,7 @@ criterion_group!(
     benches,
     bench_packed_cache,
     bench_gap_tracker,
+    bench_prefetch_pump_starved,
     bench_hierarchy_demand_stream,
     bench_executor_end_to_end
 );

@@ -23,7 +23,7 @@ use minnow_sim::cycles::Cycle;
 use minnow_sim::hierarchy::{AccessKind, MemoryHierarchy};
 
 use crate::engine::{Engine, EngineStats};
-use crate::wdp::program_lines;
+use crate::wdp::ProgramScratch;
 
 /// Worker-side cost of a fire-and-forget accelerator call.
 const ACCEL_CALL: Cycle = 3;
@@ -116,6 +116,8 @@ pub struct MinnowScheduler {
     graph: Arc<Csr>,
     map: AddressMap,
     prefetch_kind: PrefetchKind,
+    /// Reused expansion buffers for accepted tasks' prefetch programs.
+    program: ProgramScratch,
     stats: SchedStats,
 }
 
@@ -155,6 +157,7 @@ impl MinnowScheduler {
             graph,
             map,
             prefetch_kind,
+            program: ProgramScratch::new(),
             stats: SchedStats::default(),
             cfg,
         }
@@ -218,10 +221,12 @@ impl MinnowScheduler {
         if self.cfg.prefetch_credits.is_none() {
             return;
         }
-        let lines = program_lines(self.prefetch_kind, &self.graph, &self.map, task);
         let e = self.engine_of(core);
+        let lines = self
+            .program
+            .expand(self.prefetch_kind, &self.graph, &self.map, task);
         if let Some(p) = self.engines[e].pipeline_mut() {
-            p.enqueue_program(lines);
+            p.enqueue_program(lines.iter().copied());
         }
     }
 

@@ -23,66 +23,147 @@ use minnow_sim::hierarchy::{MemoryHierarchy, PrefetchIssue};
 use crate::credits::CreditPool;
 
 /// Expands a task into the line addresses its prefetch program touches,
-/// in issue order, deduplicated.
+/// in issue order, deduplicated. Builds fresh buffers on every call; hot
+/// loops expand into a reused [`ProgramScratch`] instead.
 pub fn program_lines(
     kind: PrefetchKind,
     graph: &Csr,
     map: &AddressMap,
     task: &Task,
 ) -> Vec<u64> {
-    let mut lines: Vec<u64> = Vec::new();
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut push = |addr: u64| {
-        let line = addr & !63;
-        if seen.insert(line) {
-            lines.push(line);
-        }
-    };
+    let mut scratch = ProgramScratch::new();
+    scratch.expand(kind, graph, map, task);
+    scratch.lines
+}
 
-    let v = task.node;
-    // Source node record.
-    push(map.node_addr(v));
-    let degree = graph.out_degree(v);
-    let range = task.resolve_range(degree);
-    let base = graph.edge_range(v).start;
+/// Reused buffers for prefetch-program expansion: the expanded lines and
+/// a generation-stamped open-addressed set that deduplicates them.
+/// Starting a program bumps the generation instead of clearing the set,
+/// so once both buffers have grown to the largest program, expanding
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct ProgramScratch {
+    lines: Vec<u64>,
+    /// `(line, stamp)` slots, a power of two long and at most half full;
+    /// a slot holds a line of the current program only when its stamp
+    /// equals `generation`.
+    slots: Vec<(u64, u32)>,
+    generation: u32,
+}
 
-    match kind {
-        PrefetchKind::Standard => {
-            // Edges, then destination nodes (prefetchEdge per edge).
-            for slot in range.clone() {
-                push(map.edge_addr(base + slot));
+impl ProgramScratch {
+    /// Empty scratch.
+    pub fn new() -> Self {
+        ProgramScratch::default()
+    }
+
+    /// Expands a task into the line addresses its prefetch program
+    /// touches, in issue order, deduplicated — the lines
+    /// [`program_lines`] returns, valid until the next expansion.
+    pub fn expand(
+        &mut self,
+        kind: PrefetchKind,
+        graph: &Csr,
+        map: &AddressMap,
+        task: &Task,
+    ) -> &[u64] {
+        self.begin();
+        let v = task.node;
+        // Source node record.
+        self.push(map.node_addr(v));
+        let degree = graph.out_degree(v);
+        let range = task.resolve_range(degree);
+        let base = graph.edge_range(v).start;
+
+        match kind {
+            PrefetchKind::Standard => {
+                // Edges, then destination nodes (prefetchEdge per edge).
+                for slot in range.clone() {
+                    self.push(map.edge_addr(base + slot));
+                }
+                for slot in range {
+                    let dst = graph.edge_dst(base + slot);
+                    self.push(map.node_addr(dst));
+                }
             }
-            for slot in range {
-                let dst = graph.edge_dst(base + slot);
-                push(map.node_addr(dst));
-            }
-        }
-        PrefetchKind::TriangleCounting => {
-            for slot in range.clone() {
-                push(map.edge_addr(base + slot));
-            }
-            // For each neighbor: its node record plus the top of its
-            // adjacency binary-search tree (the probe lines every search
-            // through that list shares).
-            for slot in range {
-                let u = graph.edge_dst(base + slot);
-                push(map.node_addr(u));
-                let r = graph.edge_range(u);
-                let (mut lo, mut hi) = (r.start, r.end);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    push(map.edge_addr(mid));
-                    // Walk toward the middle: the expected probe path.
-                    if hi - lo <= 4 {
-                        break;
+            PrefetchKind::TriangleCounting => {
+                for slot in range.clone() {
+                    self.push(map.edge_addr(base + slot));
+                }
+                // For each neighbor: its node record plus the top of its
+                // adjacency binary-search tree (the probe lines every search
+                // through that list shares).
+                for slot in range {
+                    let u = graph.edge_dst(base + slot);
+                    self.push(map.node_addr(u));
+                    let r = graph.edge_range(u);
+                    let (mut lo, mut hi) = (r.start, r.end);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        self.push(map.edge_addr(mid));
+                        // Walk toward the middle: the expected probe path.
+                        if hi - lo <= 4 {
+                            break;
+                        }
+                        lo = lo + (mid - lo) / 2;
+                        hi = mid + (hi - mid) / 2 + 1;
                     }
-                    lo = lo + (mid - lo) / 2;
-                    hi = mid + (hi - mid) / 2 + 1;
                 }
             }
         }
+        &self.lines
     }
-    lines
+
+    fn begin(&mut self) {
+        self.lines.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps from 2^32 programs ago would alias: wipe them once.
+            self.slots.fill((0, 0));
+            self.generation = 1;
+        }
+    }
+
+    fn push(&mut self, addr: u64) {
+        let line = addr & !63;
+        if 2 * (self.lines.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        if self.claim(line) {
+            self.lines.push(line);
+        }
+    }
+
+    /// Stamps `line` into the set; `false` when the current program
+    /// already holds it.
+    fn claim(&mut self, line: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            let (held, stamp) = self.slots[i];
+            if stamp != self.generation {
+                self.slots[i] = (line, self.generation);
+                return true;
+            }
+            if held == line {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the set and re-stamps the current program's lines.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(64);
+        self.slots.clear();
+        self.slots.resize(len, (0, 0));
+        let lines = std::mem::take(&mut self.lines);
+        for &line in &lines {
+            self.claim(line);
+        }
+        self.lines = lines;
+    }
 }
 
 /// Statistics of one engine's prefetch pipeline.
@@ -144,6 +225,13 @@ pub struct PrefetchPipeline {
     load_buffer: usize,
     issue_interval: Cycle,
     issue_clock: Cycle,
+    /// The issue point at which the last pump stopped without issuing.
+    /// Only an issue moves the issue clock or adds to the load buffer, and
+    /// no buffered fill completes at or before the clock, so until the
+    /// next issue a full pump would retire nothing and stop at this same
+    /// point: pumps before it return at once, and pumps without credits
+    /// only record the stall.
+    parked: Option<Cycle>,
     credits: CreditPool,
     stats: PrefetchStats,
 }
@@ -162,6 +250,7 @@ impl PrefetchPipeline {
             // CAM wakeup amortized over switches.
             issue_interval: 2 + params.load_buffer_wakeup / 2,
             issue_clock: 0,
+            parked: None,
             credits: CreditPool::new(credits),
             stats: PrefetchStats::default(),
         }
@@ -274,6 +363,20 @@ impl PrefetchPipeline {
         if freed > 0 {
             self.credits.release(freed as u32);
         }
+        if self.pending.is_empty() {
+            return;
+        }
+        if let Some(at) = self.parked {
+            if at > now {
+                return;
+            }
+            if self.credits.available() == 0 {
+                let consumed = self.credits.try_consume(); // records the starvation
+                debug_assert!(!consumed);
+                self.stats.credit_stalls += 1;
+                return;
+            }
+        }
         loop {
             if self.pending.is_empty() {
                 return;
@@ -301,12 +404,15 @@ impl PrefetchPipeline {
                 issue_at = issue_at.max(earliest);
             }
             if issue_at > now {
+                self.parked = Some(issue_at);
                 return; // the engine hasn't reached this point in time yet
             }
             if !self.credits.try_consume() {
                 self.stats.credit_stalls += 1;
+                self.parked = Some(issue_at);
                 return; // paused until credits come back
             }
+            self.parked = None;
             let (_, addr) = self.pending.pop_front().expect("checked non-empty");
             match mem.prefetch_fill_deferred(core, addr, issue_at) {
                 PrefetchIssue::Filled(res) => {
@@ -408,6 +514,41 @@ mod tests {
         assert!(lines.contains(&(map.edge_addr(3) & !63)));
     }
 
+    #[test]
+    fn reused_scratch_matches_fresh_expansion() {
+        // A hub whose program outgrows the dedup set mid-expansion, then
+        // smaller programs that must not see its stale stamps.
+        let edges: Vec<(u32, u32)> = (1..300u32)
+            .map(|u| (0, u))
+            .chain((1..300u32).map(|u| (u, (u * 7) % 300)))
+            .collect();
+        let mut g = Csr::from_edges(300, &edges, None);
+        g.sort_adjacency();
+        let map = AddressMap::wide_nodes();
+        let mut scratch = ProgramScratch::new();
+        for kind in [PrefetchKind::Standard, PrefetchKind::TriangleCounting] {
+            for v in [0u32, 5, 0, 17, 299, 0, 1] {
+                let task = Task::new(0, v);
+                let fresh = program_lines(kind, &g, &map, &task);
+                assert_eq!(scratch.expand(kind, &g, &map, &task), fresh.as_slice());
+                let mut distinct = fresh.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), fresh.len(), "node {v}: duplicate lines");
+            }
+        }
+        // Across the stamp counter's wrap, old stamps must not alias.
+        scratch.generation = u32::MAX - 1;
+        for v in [0u32, 5, 0, 17] {
+            let task = Task::new(0, v);
+            let fresh = program_lines(PrefetchKind::Standard, &g, &map, &task);
+            assert_eq!(
+                scratch.expand(PrefetchKind::Standard, &g, &map, &task),
+                fresh.as_slice()
+            );
+        }
+    }
+
     fn pipeline(credits: u32) -> (PrefetchPipeline, MemoryHierarchy) {
         let cfg = SimConfig::small(2);
         (
@@ -439,6 +580,25 @@ mod tests {
         mem.access(0, 0x10000, minnow_sim::hierarchy::AccessKind::Load, 200_000);
         p.pump(0, 300_000, &mut mem);
         assert_eq!(p.stats().issued, 3);
+    }
+
+    #[test]
+    fn parked_pumps_still_count_every_stall() {
+        let (mut p, mut mem) = pipeline(1);
+        p.enqueue_program((0..8u64).map(|i| 0x10000 + i * 64));
+        p.pump(0, 100_000, &mut mem);
+        assert_eq!((p.stats().issued, p.stats().credit_stalls), (1, 1));
+        // Parked on the credit check: every further pump is one more stall
+        // in both the pipeline's and the pool's books.
+        for _ in 0..5 {
+            p.pump(0, 200_000, &mut mem);
+        }
+        assert_eq!(p.stats().credit_stalls, 6);
+        assert_eq!(p.credits().starvations(), 6);
+        // A returned credit unparks it.
+        mem.access(0, 0x10000, minnow_sim::hierarchy::AccessKind::Load, 300_000);
+        p.pump(0, 400_000, &mut mem);
+        assert_eq!(p.stats().issued, 2);
     }
 
     #[test]

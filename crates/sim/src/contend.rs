@@ -18,8 +18,6 @@
 //! share of the cycle breakdown (Fig. 5), and CC's scalability collapse past
 //! 16 threads (Fig. 15).
 
-use std::collections::VecDeque;
-
 use crate::cycles::Cycle;
 use crate::stats::{Counter, Distribution};
 
@@ -33,18 +31,34 @@ const MAX_INTERVALS: usize = 256;
 /// after `now`, gap-filling between existing reservations. Used by
 /// [`SharedResource`], NoC links, and DRAM channels — anywhere one physical
 /// resource serves requests arriving at non-monotonic virtual times.
-/// `PartialEq` compares the full booked timeline — the sharded weave's
+/// `PartialEq` compares the live booked window — the sharded weave's
 /// oracle tests assert lane-merged timelines equal the serial ones bit for
 /// bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct GapTracker {
-    busy: VecDeque<(Cycle, Cycle)>,
+    /// Booked intervals; `busy[head..]` is the live window. Entries before
+    /// `head` were coalesced away and are compacted out in batches, so the
+    /// window stays one contiguous slice.
+    busy: Vec<(Cycle, Cycle)>,
+    head: usize,
 }
+
+impl PartialEq for GapTracker {
+    fn eq(&self, other: &Self) -> bool {
+        self.window() == other.window()
+    }
+}
+
+impl Eq for GapTracker {}
 
 impl GapTracker {
     /// Creates an idle timeline.
     pub fn new() -> Self {
         GapTracker::default()
+    }
+
+    fn window(&self) -> &[(Cycle, Cycle)] {
+        &self.busy[self.head..]
     }
 
     /// Books the earliest `duration`-cycle slot at or after `now`; returns
@@ -57,35 +71,45 @@ impl GapTracker {
         // increasing (each insert lands in a gap), so an interval ending at
         // or before `now` can neither host this reservation (its successor
         // would have to start >= now + duration > its own end) nor raise
-        // `begin` above `now`. Binary-search past them instead of scanning:
-        // in steady state almost the whole window is history.
-        let mut lo = 0usize;
-        let mut hi = self.busy.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.busy[mid].1 <= now {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        // `begin` above `now`. Skip past them by galloping back from the
+        // newest booking — almost every request lands within a few
+        // bookings of it — then binary-searching inside that bracket.
+        let live = self.window();
+        let mut hi = live.len(); // every live[hi..] ends after `now`
+        let mut step = 1;
+        let lo = loop {
+            if step > hi {
+                break 0;
             }
-        }
+            let probe = hi - step;
+            if live[probe].1 <= now {
+                break probe + 1;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        let first = lo + live[lo..hi].partition_point(|&(_, e)| e <= now);
         let mut begin = now;
-        let mut insert_at = self.busy.len();
-        for i in lo..self.busy.len() {
-            let (s, e) = self.busy[i];
+        let mut insert_at = live.len();
+        for (i, &(s, e)) in live.iter().enumerate().skip(first) {
             if begin + duration <= s {
                 insert_at = i;
                 break;
             }
             begin = begin.max(e);
         }
-        self.busy.insert(insert_at, (begin, begin + duration));
-        if self.busy.len() > MAX_INTERVALS {
+        self.busy
+            .insert(self.head + insert_at, (begin, begin + duration));
+        if self.busy.len() - self.head > MAX_INTERVALS {
             // Coalesce the two earliest intervals (closing the gap between
             // them) so past occupancy is never forgotten, only coarsened.
-            let (s0, _) = self.busy.pop_front().expect("len > cap");
-            if let Some(front) = self.busy.front_mut() {
-                front.0 = s0.min(front.0);
+            let (s0, _) = self.busy[self.head];
+            self.head += 1;
+            let front = &mut self.busy[self.head];
+            front.0 = s0.min(front.0);
+            if self.head >= MAX_INTERVALS {
+                self.busy.drain(..self.head);
+                self.head = 0;
             }
         }
         begin
@@ -93,7 +117,7 @@ impl GapTracker {
 
     /// The latest reserved end time (0 when idle).
     pub fn horizon(&self) -> Cycle {
-        self.busy.back().map_or(0, |&(_, e)| e)
+        self.window().last().map_or(0, |&(_, e)| e)
     }
 }
 
@@ -260,6 +284,29 @@ mod tests {
         assert!(r.acquisitions() == 10_000);
         // Window stayed bounded (internal invariant; horizon still sane).
         assert!(r.horizon() >= 999_900);
+    }
+
+    #[test]
+    fn coalesced_bookings_are_compacted_away() {
+        let mut t = GapTracker::new();
+        for i in 0..10_000u64 {
+            t.reserve(i * 100, 10);
+            assert!(
+                t.busy.len() <= 2 * MAX_INTERVALS,
+                "retired bookings pile up"
+            );
+        }
+        assert_eq!(t.window().len(), MAX_INTERVALS);
+        // Coalescing keeps the earliest start: the past is coarsened, never
+        // forgotten.
+        assert_eq!(t.window()[0].0, 0);
+        // Equality sees the live window, not where it sits in the buffer.
+        let packed = GapTracker {
+            busy: t.window().to_vec(),
+            head: 0,
+        };
+        assert_ne!(t.head, 0);
+        assert_eq!(t, packed);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Steady-state task charging performs zero heap allocation.
+//! Steady-state task charging and WDP prefetching perform zero heap
+//! allocation.
 //!
 //! The hot-path overhaul's contract (see `crates/runtime/src/scratch.rs`)
 //! is that once the per-run scratch buffers and the hierarchy's internal
 //! tables are warm, the record → replay → charge loop never touches the
-//! allocator. This test pins that with a counting `#[global_allocator]`:
-//! it replays an identical workload once to warm every buffer, then
-//! replays it again and demands the allocation counter does not move.
+//! allocator. The Minnow engine's prefetch side keeps the same contract:
+//! expanding an accepted task's program into reused scratch and pumping it
+//! through the prefetch pipeline. This test pins both with a counting
+//! `#[global_allocator]`: it replays an identical workload once to warm
+//! every buffer, then replays it again and demands the allocation counter
+//! does not move.
 //!
 //! The file deliberately holds a single `#[test]` — the default harness
 //! runs tests in this binary concurrently, and a neighbor's allocations
@@ -14,11 +18,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use minnow::engine::wdp::{PrefetchPipeline, ProgramScratch};
+use minnow::graph::gen::grid::{self, GridConfig};
 use minnow::graph::AddressMap;
 use minnow::runtime::op::TaskCtx;
 use minnow::runtime::scratch::{charge_task, ChargeCounters, TaskScratch};
+use minnow::runtime::{PrefetchKind, Task};
 use minnow::sim::config::SimConfig;
 use minnow::sim::core::{CoreMode, CoreModel};
+use minnow::sim::cycles::Cycle;
 
 /// `System` plus an allocation counter. Frees are not counted: the
 /// property under test is "no allocation", not "no traffic".
@@ -73,22 +81,34 @@ fn steady_state_charging_allocates_nothing() {
     let mut mem = minnow::sim::hierarchy::MemoryHierarchy::new(&cfg);
     let mut scratch = TaskScratch::new(AddressMap::standard(), false);
     let mut counters = ChargeCounters::default();
+    // Core 0's engine prefetches every task's inputs from a 4096-node grid
+    // laid out in the same address map the tasks load from.
+    let graph = grid::generate(&GridConfig::new(64, 64), 1);
+    let map = AddressMap::standard();
+    let mut program = ProgramScratch::new();
+    let mut pipeline = PrefetchPipeline::new(&cfg.engine, 32);
 
-    let run = |mem: &mut minnow::sim::hierarchy::MemoryHierarchy,
-                   scratch: &mut TaskScratch,
-                   counters: &mut ChargeCounters| {
-        let mut now = 0;
+    let mut run = |start: Cycle| {
+        let mut now = start;
         for i in 0..TASKS {
+            // The engine accepts the task and queues its prefetch program,
+            // then the worker starts it and the pipeline catches up.
+            let task = Task::new(0, (i * 37 % 4096) as u32);
+            let lines = program.expand(PrefetchKind::Standard, &graph, &map, &task);
+            pipeline.enqueue_program(lines.iter().copied());
+            pipeline.note_pop();
+            pipeline.pump(0, now, &mut mem);
+
             scratch.begin_task();
             record(&mut scratch.ctx, i);
             let cycles = charge_task(
-                scratch,
-                mem,
+                &mut scratch,
+                &mut mem,
                 &core_model,
                 (i % 4) as usize,
                 now,
                 &mut None,
-                counters,
+                &mut counters,
             );
             now += cycles.total();
         }
@@ -96,18 +116,20 @@ fn steady_state_charging_allocates_nothing() {
     };
 
     // Warm pass: grows the scratch buffers, the caches' metadata, the
-    // directory and prefetch-arrival tables, and the occupancy windows.
-    let warm_makespan = run(&mut mem, &mut scratch, &mut counters);
-    assert!(warm_makespan > 0);
+    // directory and prefetch-arrival tables, the occupancy windows, the
+    // program-expansion scratch and the pipeline's queues.
+    let warm_end = run(0);
+    assert!(warm_end > 0);
 
     // Measured pass: identical workload, zero allocations allowed.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let measured_makespan = run(&mut mem, &mut scratch, &mut counters);
+    let measured_end = run(warm_end);
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert!(measured_makespan > 0);
+    assert!(measured_end > warm_end);
     assert_eq!(
         delta, 0,
-        "steady-state record+charge loop allocated {delta} time(s) over {TASKS} tasks"
+        "steady-state record+charge+prefetch loop allocated {delta} time(s) over {TASKS} tasks"
     );
     assert!(counters.total_loads > 0);
+    assert!(pipeline.stats().issued > 0);
 }

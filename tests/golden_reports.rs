@@ -1,14 +1,17 @@
 //! Golden-value regression tests: pinned simulator outputs for every
-//! workload under the three headline scheduler configurations.
+//! workload under the three headline scheduler configurations, plus the
+//! prefetch-credit sweep's endpoints.
 //!
 //! The simulator is fully deterministic — same configuration, same
 //! report, bit for bit — so any drift in these numbers means the timing
 //! model, a scheduler, or an input generator changed behaviour. That is
 //! sometimes intentional (a modelling fix); when it is, regenerate the
-//! table with:
+//! tables with:
 //!
 //! ```sh
 //! cargo run --release --bin minnow-sweep -- fig16 \
+//!     --scale 0.04 --seed 42 --stdout
+//! cargo run --release --bin minnow-sweep -- credits \
 //!     --scale 0.04 --seed 42 --stdout
 //! ```
 //!
@@ -58,18 +61,28 @@ const GOLDEN: [(&str, u64, u64, u64); 21] = [
     ("fig16/BC/wdp", 6_100, 21_191, 831),
 ];
 
-#[test]
-fn reports_match_golden_values() {
-    let sweep = Sweep::fig16(&golden_params());
-    assert_eq!(
-        sweep.points.len(),
-        GOLDEN.len(),
-        "fig16 enumerates one point per golden entry"
-    );
-    let result = run_sweep(&sweep, &SweepConfig::serial());
+/// (point id, makespan cycles, instructions, L2 misses) for the credit
+/// sweep's extremes and one point between. `c1` starves the prefetcher on
+/// nearly every pump and `c256` almost never, so together they pin the
+/// credit throttle and the pipeline's stall path.
+const GOLDEN_CREDITS: [(&str, u64, u64, u64); 9] = [
+    ("credits/BFS/c1", 60_762, 112_404, 10_618),
+    ("credits/BFS/c8", 43_117, 103_622, 5_379),
+    ("credits/BFS/c256", 47_656, 105_193, 6_656),
+    ("credits/PR/c1", 562_939, 1_146_742, 91_210),
+    ("credits/PR/c8", 555_180, 1_238_545, 71_379),
+    ("credits/PR/c256", 547_860, 1_223_910, 79_170),
+    ("credits/TC/c1", 28_980, 54_475, 1_146),
+    ("credits/TC/c8", 28_472, 54_449, 1_068),
+    ("credits/TC/c256", 27_311, 54_467, 615),
+];
 
+/// Runs `sweep` serially and fails, listing every drifted entry, unless
+/// each golden point's makespan, instructions and L2 misses match.
+fn assert_matches_golden(sweep: &Sweep, golden: &[(&str, u64, u64, u64)]) {
+    let result = run_sweep(sweep, &SweepConfig::serial());
     let mut drift = Vec::new();
-    for (id, makespan, instructions, l2_misses) in GOLDEN {
+    for &(id, makespan, instructions, l2_misses) in golden {
         let r = result.report(id);
         assert!(!r.timed_out, "{id} timed out");
         if (r.makespan, r.instructions, r.l2_misses) != (makespan, instructions, l2_misses) {
@@ -86,6 +99,31 @@ fn reports_match_golden_values() {
          docs to regenerate if the change is intentional):\n{}",
         drift.join("\n")
     );
+}
+
+#[test]
+fn reports_match_golden_values() {
+    let sweep = Sweep::fig16(&golden_params());
+    assert_eq!(
+        sweep.points.len(),
+        GOLDEN.len(),
+        "fig16 enumerates one point per golden entry"
+    );
+    assert_matches_golden(&sweep, &GOLDEN);
+}
+
+#[test]
+fn credit_sweep_matches_golden_values() {
+    let mut sweep = Sweep::credits(&golden_params());
+    sweep
+        .points
+        .retain(|p| GOLDEN_CREDITS.iter().any(|&(id, ..)| id == p.id));
+    assert_eq!(
+        sweep.points.len(),
+        GOLDEN_CREDITS.len(),
+        "the credits sweep enumerates every golden point"
+    );
+    assert_matches_golden(&sweep, &GOLDEN_CREDITS);
 }
 
 #[test]

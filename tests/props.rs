@@ -1,5 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -237,6 +238,71 @@ fn weave_reference_points() -> &'static Vec<(String, BenchRun, u64)> {
     })
 }
 
+/// The occupancy timeline [`GapTracker`] replaced, moved here verbatim as
+/// the differential oracle: a `VecDeque` window binary-searched from its
+/// oldest booking.
+#[derive(Debug, Default)]
+struct OracleGapTracker {
+    busy: VecDeque<(u64, u64)>,
+}
+
+/// The oracle's window cap (the production timeline's `MAX_INTERVALS`).
+const ORACLE_MAX_INTERVALS: usize = 256;
+
+impl OracleGapTracker {
+    fn reserve(&mut self, now: u64, duration: u64) -> u64 {
+        if duration == 0 {
+            return now;
+        }
+        // Intervals are non-overlapping with both starts and ends strictly
+        // increasing (each insert lands in a gap), so an interval ending at
+        // or before `now` can neither host this reservation (its successor
+        // would have to start >= now + duration > its own end) nor raise
+        // `begin` above `now`. Binary-search past them instead of scanning:
+        // in steady state almost the whole window is history.
+        let mut lo = 0usize;
+        let mut hi = self.busy.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.busy[mid].1 <= now {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut begin = now;
+        let mut insert_at = self.busy.len();
+        for i in lo..self.busy.len() {
+            let (s, e) = self.busy[i];
+            if begin + duration <= s {
+                insert_at = i;
+                break;
+            }
+            begin = begin.max(e);
+        }
+        self.busy.insert(insert_at, (begin, begin + duration));
+        if self.busy.len() > ORACLE_MAX_INTERVALS {
+            // Coalesce the two earliest intervals (closing the gap between
+            // them) so past occupancy is never forgotten, only coarsened.
+            let (s0, _) = self.busy.pop_front().expect("len > cap");
+            if let Some(front) = self.busy.front_mut() {
+                front.0 = s0.min(front.0);
+            }
+        }
+        begin
+    }
+
+    fn horizon(&self) -> u64 {
+        self.busy.back().map_or(0, |&(_, e)| e)
+    }
+}
+
+/// One fabric-timeline request, placed relative to the newest booking when
+/// replayed: `(placement, offset, duration class, lock hold)`.
+fn any_timeline_request() -> impl Strategy<Value = (u32, u64, u32, u64)> {
+    (0u32..100, 0u64..64, 0u32..3, 6u64..41)
+}
+
 fn any_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Fifo),
@@ -429,6 +495,42 @@ proptest! {
             }
             intervals.push((begin, begin + dur));
         }
+    }
+
+    /// The contiguous-window timeline books exactly what the `VecDeque`
+    /// implementation it replaced books — every begin time and the final
+    /// horizon — over streams long enough to reach the 256-interval cap,
+    /// the front coalescing and the buffer compaction. Requests follow the
+    /// fabric's shape: most land within a few bookings of the newest one,
+    /// some ahead of it, some deep in the window, some before all of it.
+    #[test]
+    fn gap_tracker_matches_vecdeque_oracle(
+        reqs in prop::collection::vec(any_timeline_request(), 300..2000),
+    ) {
+        let mut fast = GapTracker::new();
+        let mut oracle = OracleGapTracker::default();
+        let mut newest = 1u64 << 20;
+        for (step, (placement, offset, class, hold)) in reqs.into_iter().enumerate() {
+            // A NoC link hop, a DRAM channel burst, a worklist lock hold.
+            let duration = match class {
+                0 => 1,
+                1 => 8,
+                _ => hold,
+            };
+            let now = match placement {
+                0..=79 => newest.saturating_sub(offset),
+                80..=89 => newest + offset,
+                90..=94 => newest.saturating_sub(4_000 + offset * 50),
+                _ => offset * 16,
+            };
+            let begin = oracle.reserve(now, duration);
+            prop_assert_eq!(fast.reserve(now, duration), begin,
+                "step {}: reserve({}, {}) diverged", step, now, duration);
+            if placement < 90 {
+                newest = begin;
+            }
+        }
+        prop_assert_eq!(fast.horizon(), oracle.horizon());
     }
 
     /// Sweep enumeration is complete and duplicate-free for every named
