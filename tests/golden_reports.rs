@@ -1,6 +1,7 @@
 //! Golden-value regression tests: pinned simulator outputs for every
-//! workload under the three headline scheduler configurations, plus the
-//! prefetch-credit sweep's endpoints.
+//! workload under the three headline scheduler configurations, the
+//! prefetch-credit sweep's endpoints, and the BSP and hardware-prefetcher
+//! engines.
 //!
 //! The simulator is fully deterministic — same configuration, same
 //! report, bit for bit — so any drift in these numbers means the timing
@@ -19,6 +20,8 @@
 //! *silent* drift: a refactor that changes cycle counts without anyone
 //! noticing.
 
+use minnow::algos::WorkloadKind;
+use minnow::bench::runner::{BenchRun, HwKind, SchedSpec};
 use minnow::bench::sweep::{run_sweep, Sweep, SweepConfig, SweepParams};
 
 /// The exact sweep the goldens were generated from. `headline_threads`
@@ -144,4 +147,91 @@ fn golden_points_show_wdp_improving_mpki() {
             "{base_id}: WDP MPKI {wdp_mpki:.1} not below offload-only {base_mpki:.1}"
         );
     }
+}
+
+/// (point id, makespan cycles, instructions, L2 misses, engine counter)
+/// for the engines the fig16 and credit tables leave out: the BSP
+/// engine, unbucketed and bucketed, and Minnow with each table-based
+/// hardware prefetcher, on every workload at 4 cores, scale 0.03, seed
+/// 42. The engine counter is `supersteps` for BSP points and
+/// `prefetch_fills` for hardware-prefetcher points. Regenerate by
+/// running this test: a drift message prints every entry's new values.
+const GOLDEN_ENGINES: [(&str, u64, u64, u64, u64); 28] = [
+    ("engines/SSSP/bsp", 121_814, 41_256, 2_340, 42),
+    ("engines/SSSP/bsp-b0", 199_144, 33_753, 1_787, 112),
+    ("engines/SSSP/minnow-hw-stride", 66_297, 39_001, 1_893, 4),
+    ("engines/SSSP/minnow-hw-imp", 66_297, 39_001, 1_892, 5),
+    ("engines/BFS/bsp", 129_002, 66_042, 5_677, 6),
+    ("engines/BFS/bsp-b0", 129_002, 66_042, 5_677, 6),
+    ("engines/BFS/minnow-hw-stride", 121_812, 65_197, 5_581, 12),
+    ("engines/BFS/minnow-hw-imp", 121_620, 65_199, 5_585, 23),
+    ("engines/G500/bsp", 113_661, 42_120, 1_791, 4),
+    ("engines/G500/bsp-b0", 113_661, 42_120, 1_791, 4),
+    ("engines/G500/minnow-hw-stride", 88_498, 42_667, 1_001, 780),
+    ("engines/G500/minnow-hw-imp", 85_390, 42_565, 998, 753),
+    ("engines/CC/bsp", 90_161, 45_469, 2_978, 4),
+    ("engines/CC/bsp-b0", 307_038, 34_647, 2_022, 249),
+    ("engines/CC/minnow-hw-stride", 69_241, 38_179, 2_171, 579),
+    ("engines/CC/minnow-hw-imp", 68_169, 38_166, 2_110, 651),
+    ("engines/PR/bsp", 1_234_355, 718_460, 54_940, 61),
+    ("engines/PR/bsp-b0", 1_941_342, 1_017_440, 77_266, 113),
+    ("engines/PR/minnow-hw-stride", 1_080_260, 826_118, 57_773, 4_211),
+    ("engines/PR/minnow-hw-imp", 1_015_924, 782_024, 52_264, 5_937),
+    ("engines/TC/bsp", 25_084, 31_601, 502, 1),
+    ("engines/TC/bsp-b0", 25_084, 31_601, 502, 1),
+    ("engines/TC/minnow-hw-stride", 31_083, 31_637, 495, 13),
+    ("engines/TC/minnow-hw-imp", 30_493, 31_615, 502, 1),
+    ("engines/BC/bsp", 33_040, 15_790, 998, 2),
+    ("engines/BC/bsp-b0", 33_040, 15_790, 998, 2),
+    ("engines/BC/minnow-hw-stride", 26_714, 14_424, 831, 73),
+    ("engines/BC/minnow-hw-imp", 26_642, 14_422, 827, 79),
+];
+
+/// The engines [`GOLDEN_ENGINES`] pins, in table order.
+fn engine_specs() -> [SchedSpec; 4] {
+    [
+        SchedSpec::Bsp(None),
+        SchedSpec::Bsp(Some(0)),
+        SchedSpec::MinnowWithHw(HwKind::Stride),
+        SchedSpec::MinnowWithHw(HwKind::Imp),
+    ]
+}
+
+#[test]
+fn bsp_and_hw_prefetcher_reports_match_golden_values() {
+    let mut drift = Vec::new();
+    let mut seen = 0;
+    for kind in WorkloadKind::ALL {
+        for sched in engine_specs() {
+            let id = format!("engines/{kind}/{}", sched.label());
+            let mut run = BenchRun::new(kind, 4, sched.clone());
+            run.scale = 0.03;
+            run.seed = 42;
+            let r = run.execute();
+            assert!(!r.timed_out, "{id} timed out");
+            let counter = match sched {
+                SchedSpec::Bsp(_) => r.supersteps,
+                _ => r.prefetch_fills,
+            };
+            let got = (r.makespan, r.instructions, r.l2_misses, counter);
+            let golden = GOLDEN_ENGINES
+                .iter()
+                .find(|&&(g, ..)| g == id)
+                .map(|&(_, m, i, l, c)| (m, i, l, c));
+            if golden != Some(got) {
+                drift.push(format!(
+                    "    (\"{id}\", {}, {}, {}, {}), // golden {golden:?}",
+                    got.0, got.1, got.2, got.3
+                ));
+            }
+            seen += 1;
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "BSP / hardware-prefetcher output drifted from the golden table \
+         (regenerate only if the change is intentional):\n{}",
+        drift.join("\n")
+    );
+    assert_eq!(seen, GOLDEN_ENGINES.len(), "one golden entry per point");
 }
