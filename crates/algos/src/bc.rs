@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, Task, TaskCtx};
 
 /// Node colors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,23 +25,6 @@ impl Color {
             Color::Red => Color::Blue,
             Color::Blue => Color::Red,
             Color::None => Color::None,
-        }
-    }
-
-    /// Journal encoding for the speculation log.
-    fn to_bits(self) -> u64 {
-        match self {
-            Color::None => 0,
-            Color::Red => 1,
-            Color::Blue => 2,
-        }
-    }
-
-    fn from_bits(bits: u64) -> Color {
-        match bits {
-            1 => Color::Red,
-            2 => Color::Blue,
-            _ => Color::None,
         }
     }
 }
@@ -104,9 +87,6 @@ impl Operator for Bc {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path; must stay in observable lockstep with
-        // execute_spec + apply_spec (enforced by the spec differential
-        // suites).
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(8);
@@ -134,68 +114,6 @@ impl Operator for Bc {
                 }
                 c if c == mine => {
                     self.conflicts += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // Slot 0 journals `color` (encoded), slot 1 the conflict tally as
-        // a delta; reads overlay the journal.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(8);
-        ctx.add_branches(1);
-        let mut cv = ctx
-            .spec_get(0, v)
-            .map_or(self.color[v as usize], Color::from_bits);
-        if cv == Color::None {
-            cv = Color::Red;
-            ctx.spec_assign(0, v, cv.to_bits());
-            ctx.store_node(v);
-        }
-        let mine = cv;
-        let expected = mine.opposite();
-        let graph = self.graph.clone();
-        let base = graph.edge_range(v).start;
-        let mut conflicts = 0u64;
-        for slot in task.resolve_range(graph.out_degree(v)) {
-            let e = base + slot;
-            let u = graph.edge_dst(e);
-            ctx.load_edge(e, u);
-            ctx.load_node(u);
-            ctx.add_branches(1);
-            ctx.add_instrs(6);
-            let cu = ctx
-                .spec_get(0, u)
-                .map_or(self.color[u as usize], Color::from_bits);
-            match cu {
-                Color::None => {
-                    ctx.spec_assign(0, u, expected.to_bits());
-                    ctx.atomic_node(u);
-                    ctx.push(Task::new(task.priority, u));
-                }
-                c if c == mine => {
-                    conflicts += 1;
-                }
-                _ => {}
-            }
-        }
-        if conflicts > 0 {
-            ctx.spec_delta(1, conflicts);
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            match *w {
-                SpecWrite::Assign { slot: 0, node, bits } => {
-                    self.color[node as usize] = Color::from_bits(bits);
-                }
-                SpecWrite::Delta { slot: 1, amount } => {
-                    self.conflicts += amount;
                 }
                 _ => {}
             }

@@ -16,6 +16,7 @@
 //! [`suite`] binds each workload to its Table 1 input analogue and gives the
 //! bench harness a uniform way to instantiate the whole suite.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

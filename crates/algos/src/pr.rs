@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, Task, TaskCtx};
 
 /// Damping factor.
 pub const DAMPING: f64 = 0.85;
@@ -120,10 +120,6 @@ impl Operator for PageRank {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path; must stay in observable lockstep with
-        // execute_spec + apply_spec — including float operation order,
-        // so ranks and residuals stay bit-identical (enforced by the
-        // spec differential suites).
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(16);
@@ -156,70 +152,6 @@ impl Operator for PageRank {
             ctx.add_branches(1);
             if before < self.epsilon && after >= self.epsilon {
                 ctx.push(Task::new(residual_priority(after), u));
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // Slot 0 journals `residual`, slot 1 journals `rank` (both as f64
-        // bit patterns); reads overlay the journal.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(16);
-        ctx.add_branches(1);
-        let r = f64::from_bits(
-            ctx.spec_get(0, v)
-                .unwrap_or(self.residual[v as usize].to_bits()),
-        );
-        if r < self.epsilon {
-            return true;
-        }
-        ctx.spec_assign(0, v, 0.0f64.to_bits());
-        let rank = f64::from_bits(
-            ctx.spec_get(1, v)
-                .unwrap_or(self.rank[v as usize].to_bits()),
-        );
-        ctx.spec_assign(1, v, (rank + (1.0 - DAMPING) * r).to_bits());
-        ctx.store_node(v);
-        let graph = self.graph.clone();
-        let deg = graph.out_degree(v);
-        if deg == 0 {
-            return true;
-        }
-        let share = DAMPING * r / deg as f64;
-        let base = graph.edge_range(v).start;
-        for slot in 0..deg {
-            let e = base + slot;
-            let u = graph.edge_dst(e);
-            ctx.load_edge(e, u);
-            ctx.load_node(u);
-            // Residual pushed unconditionally: atomic add per edge.
-            ctx.atomic_node(u);
-            ctx.add_instrs(9);
-            let before = f64::from_bits(
-                ctx.spec_get(0, u)
-                    .unwrap_or(self.residual[u as usize].to_bits()),
-            );
-            let after = before + share;
-            ctx.spec_assign(0, u, after.to_bits());
-            ctx.add_branches(1);
-            if before < self.epsilon && after >= self.epsilon {
-                ctx.push(Task::new(residual_priority(after), u));
-            }
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            match *w {
-                SpecWrite::Assign { slot: 0, node, bits } => {
-                    self.residual[node as usize] = f64::from_bits(bits);
-                }
-                SpecWrite::Assign { slot: 1, node, bits } => {
-                    self.rank[node as usize] = f64::from_bits(bits);
-                }
-                _ => {}
             }
         }
     }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{AddressMap, Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, PrefetchKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, PrefetchKind, Task, TaskCtx};
 
 /// The triangle-counting operator.
 #[derive(Debug)]
@@ -94,9 +94,6 @@ impl Operator for Tc {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path; must stay in observable lockstep with
-        // execute_spec + apply_spec (enforced by the spec differential
-        // suites).
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(10);
@@ -129,58 +126,6 @@ impl Operator for Tc {
                     self.triangles += 1;
                     ctx.add_instrs(2);
                 }
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // The graph is immutable; the only functional write is the
-        // triangle tally, journaled as a delta on slot 0.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(10);
-        let graph = self.graph.clone();
-        let base = graph.edge_range(v).start;
-        let nbrs = graph.neighbors(v);
-        let range = task.resolve_range(nbrs.len());
-        let mut tris = 0u64;
-        for i in range {
-            let u = nbrs[i];
-            ctx.load_edge(base + i, u);
-            ctx.add_branches(1);
-            if u <= v {
-                continue;
-            }
-            ctx.load_node(u);
-            for (j, &w) in nbrs.iter().enumerate().skip(i + 1) {
-                ctx.load_edge(base + j, w);
-                ctx.add_branches(1);
-                ctx.add_instrs(4);
-                if w <= u {
-                    continue;
-                }
-                let (found, probes) = graph.has_edge(u, w);
-                for p in probes {
-                    ctx.load_edge(p, graph.edge_dst(p));
-                    ctx.add_branches(1);
-                    ctx.add_instrs(6);
-                }
-                if found {
-                    tris += 1;
-                    ctx.add_instrs(2);
-                }
-            }
-        }
-        if tris > 0 {
-            ctx.spec_delta(0, tris);
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            if let SpecWrite::Delta { slot: 0, amount } = *w {
-                self.triangles += amount;
             }
         }
     }

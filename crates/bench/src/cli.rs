@@ -80,59 +80,6 @@ impl ArgStream {
     }
 }
 
-/// Validates the `--point-threads` / `--front-shards` /
-/// `--pin-point-threads` combination at parse time, so bad budgets fail
-/// with a flag-level message instead of deep inside a worker thread.
-///
-/// Rules:
-/// * `--front-shards` requires `--point-threads >= 2` — with a budget of
-///   one host thread there is nothing to split;
-/// * `--front-shards` must fit inside the budget (`front <= point_threads`);
-/// * `--pin-point-threads` with more threads than the host has cores is
-///   legal (determinism suites do it on purpose) but earns a warning,
-///   returned so the caller can print it to stderr.
-///
-/// # Errors
-///
-/// Returns a flag-style message (same shape as [`ArgStream`] errors) for
-/// the hard failures above.
-pub fn validate_point_budget(
-    point_threads: Option<usize>,
-    front_shards: Option<usize>,
-    pinned: bool,
-) -> Result<Option<String>, String> {
-    if let Some(front) = front_shards {
-        if front == 0 {
-            return Err("--front-shards must be at least 1".into());
-        }
-        let budget = point_threads.unwrap_or(1);
-        if budget < 2 {
-            return Err(
-                "--front-shards requires --point-threads >= 2 (nothing to split)".into(),
-            );
-        }
-        if front > budget {
-            return Err(format!(
-                "--front-shards {front} exceeds the --point-threads budget of {budget}"
-            ));
-        }
-    }
-    if pinned {
-        let budget = point_threads.unwrap_or(1);
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if budget > host {
-            return Ok(Some(format!(
-                "warning: --pin-point-threads with {budget} threads oversubscribes \
-                 this {host}-core host; simulated outcomes are unaffected, but \
-                 wall-clock will suffer"
-            )));
-        }
-    }
-    Ok(None)
-}
-
 /// Writes `doc` to `path`, creating parent directories as needed (the
 /// artifact-writing idiom every binary shares).
 ///
@@ -177,41 +124,6 @@ mod tests {
         let mut s = stream(&["0", "3"]);
         assert!(s.parse_at_least("--threads", 1).is_err());
         assert_eq!(s.parse_at_least("--threads", 1).unwrap(), 3);
-    }
-
-    #[test]
-    fn front_shards_require_a_splittable_budget() {
-        // No front override: always fine.
-        assert_eq!(validate_point_budget(None, None, false), Ok(None));
-        assert_eq!(validate_point_budget(Some(4), None, false), Ok(None));
-        // Zero shards is rejected outright.
-        assert!(validate_point_budget(Some(4), Some(0), false).is_err());
-        // A budget of one host thread cannot be split.
-        assert!(validate_point_budget(None, Some(2), false).is_err());
-        assert!(validate_point_budget(Some(1), Some(1), false).is_err());
-        // The override must fit in the budget.
-        let err = validate_point_budget(Some(4), Some(8), false).unwrap_err();
-        assert!(err.contains("--front-shards 8"), "{err}");
-        assert!(err.contains("budget of 4"), "{err}");
-        // In-budget splits pass.
-        assert_eq!(validate_point_budget(Some(4), Some(2), false), Ok(None));
-        assert_eq!(validate_point_budget(Some(4), Some(4), false), Ok(None));
-    }
-
-    #[test]
-    fn pinning_past_the_host_warns_but_passes() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // Oversubscribed pin: legal, warned.
-        let warn = validate_point_budget(Some(host * 4), None, true).unwrap();
-        let text = warn.expect("oversubscription must warn");
-        assert!(text.contains("warning"), "{text}");
-        assert!(text.contains("oversubscribes"), "{text}");
-        // Unpinned oversubscription stays silent (the adaptive planner
-        // clamps it), as does a pin within the host's budget.
-        assert_eq!(validate_point_budget(Some(host * 4), None, false), Ok(None));
-        assert_eq!(validate_point_budget(Some(1), None, true), Ok(None));
     }
 
     #[test]

@@ -326,14 +326,6 @@ pub trait Evaluator {
 pub struct LocalEvaluator {
     /// Sweep-pool worker threads (points in flight at once).
     pub pool_threads: usize,
-    /// Bound-weave threads per point (outcome-neutral).
-    pub point_threads: usize,
-    /// Disable the adaptive serial fallback (outcome-neutral).
-    pub pin_point_threads: bool,
-    /// Explicit front-shard split (outcome-neutral).
-    pub front_shards: Option<usize>,
-    /// Speculative shard overlap toggle (outcome-neutral).
-    pub speculate: Option<bool>,
     /// Narrate per-point results to stderr.
     pub verbose: bool,
     /// Label for narration and the internal sweep name; never
@@ -346,10 +338,6 @@ impl LocalEvaluator {
     pub fn serial() -> LocalEvaluator {
         LocalEvaluator {
             pool_threads: 1,
-            point_threads: 1,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
             verbose: false,
             tag: "eval".into(),
         }
@@ -369,12 +357,7 @@ impl Evaluator for LocalEvaluator {
             name: self.tag.clone(),
             points,
         };
-        let mut cfg = SweepConfig::serial()
-            .with_threads(self.pool_threads.max(1))
-            .with_point_threads(self.point_threads.max(1));
-        cfg.pin_point_threads = self.pin_point_threads;
-        cfg.front_shards = self.front_shards;
-        cfg.speculate = self.speculate;
+        let cfg = SweepConfig::serial().with_threads(self.pool_threads.max(1));
         let tag = self.tag.clone();
         let narrate = move |p: &PointResult| {
             eprintln!(
@@ -411,9 +394,7 @@ fn duration_us(d: Duration) -> u64 {
 
 /// Serializes the **simulation-relevant** subset of a [`BenchRun`] as a
 /// canonical JSON object: the fields that determine the simulated
-/// outcome, and none of the outcome-neutral host-threading knobs
-/// (`point_threads`, weave overrides, shard splits, speculation). Two
-/// runs with equal wire forms simulate identically, which is what makes
+/// outcome. Two runs with equal wire forms simulate identically, which is what makes
 /// this string the store's point fingerprint and the worker protocol's
 /// job payload at once.
 pub fn run_to_json(run: &BenchRun) -> String {
@@ -493,7 +474,7 @@ pub fn run_to_json(run: &BenchRun) -> String {
 }
 
 /// Parses a [`run_to_json`] wire form back into an executable
-/// [`BenchRun`] (host-threading knobs at their serial defaults).
+/// [`BenchRun`].
 ///
 /// # Errors
 ///
@@ -640,18 +621,6 @@ mod tests {
             roundtrip(&file).input,
             Some(InputSpec::new("graphs/road.mcsr"))
         );
-    }
-
-    #[test]
-    fn wire_form_excludes_host_threading_knobs() {
-        let mut a = BenchRun::minnow(WorkloadKind::Bfs, 2);
-        let mut b = a.clone();
-        a.point_threads = 1;
-        b.point_threads = 8;
-        b.pin_point_threads = true;
-        b.front_shards = Some(2);
-        b.speculate = Some(false);
-        assert_eq!(run_to_json(&a), run_to_json(&b));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! * `MINNOW_SWEEP_THREADS` — sweep-pool width (default: available
 //!   parallelism; see [`sweep_threads`]).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cli;

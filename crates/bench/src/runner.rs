@@ -120,27 +120,6 @@ pub struct BenchRun {
     pub task_limit: u64,
     /// Serial-baseline accounting (atomics as stores).
     pub serial_baseline: bool,
-    /// Host threads simulating this point (bound-weave mode when `>= 2`;
-    /// see `minnow_runtime::sim_exec::ExecConfig::point_threads`).
-    /// Simulated outcomes are byte-identical for every value.
-    pub point_threads: usize,
-    /// Override the bound-weave epoch length (simulated cycles);
-    /// outcome-neutral.
-    pub weave_epoch: Option<u64>,
-    /// Override the bound-weave in-flight fetch cap; outcome-neutral.
-    pub weave_inflight: Option<usize>,
-    /// Skip the adaptive serial fallback: always shard when
-    /// `point_threads >= 2` (see
-    /// `minnow_runtime::sim_exec::ExecConfig::pin_point_threads`).
-    pub pin_point_threads: bool,
-    /// Explicit front-shard count within the `point_threads` budget (see
-    /// `minnow_runtime::sim_exec::ExecConfig::front_shards`); `None` lets
-    /// the planner split it. Outcome-neutral.
-    pub front_shards: Option<usize>,
-    /// Speculative shard overlap toggle (see
-    /// `minnow_runtime::sim_exec::ExecConfig::speculate`); `None` defers to
-    /// `MINNOW_SPECULATE` and the on-by-default. Outcome-neutral.
-    pub speculate: Option<bool>,
 }
 
 impl BenchRun {
@@ -160,12 +139,6 @@ impl BenchRun {
             engine: None,
             task_limit: 20_000_000,
             serial_baseline: false,
-            point_threads: 1,
-            weave_epoch: None,
-            weave_inflight: None,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
         }
     }
 
@@ -207,16 +180,6 @@ impl BenchRun {
             // Fail fast on degenerate geometry instead of deep in the
             // hierarchy constructor.
             let _ = cfg.sim.l2.sets();
-        }
-        cfg.point_threads = self.point_threads.max(1);
-        cfg.pin_point_threads = self.pin_point_threads;
-        cfg.front_shards = self.front_shards;
-        cfg.speculate = self.speculate;
-        if let Some(epoch) = self.weave_epoch {
-            cfg.weave_epoch = epoch;
-        }
-        if let Some(cap) = self.weave_inflight {
-            cfg.weave_inflight = cap;
         }
         cfg
     }
@@ -342,11 +305,6 @@ impl BenchRun {
                 bsp.lg_bucket_interval = *lg;
                 bsp.core_mode = self.core_mode;
                 bsp.tracer = tracer.clone();
-                bsp.point_threads = self.point_threads.max(1);
-                bsp.pin_point_threads = self.pin_point_threads;
-                if let Some(cap) = self.weave_inflight {
-                    bsp.weave_inflight = cap;
-                }
                 run_bsp(op.as_mut(), &bsp)
             }
         }

@@ -46,6 +46,7 @@
 //! assert_eq!(d.task.unwrap().node, 5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

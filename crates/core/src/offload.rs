@@ -446,14 +446,6 @@ impl SchedulerModel for MinnowScheduler {
         }
     }
 
-    fn peek_dequeue(&self, thread: usize, now: Cycle) -> Option<Task> {
-        // Only the engine-local fast path is predictable without mutating
-        // scheduler state: the blocking-refill fallback depends on engine
-        // clocks and the global bucket map, so decline it (conservative
-        // `None` just skips speculation for that dequeue).
-        self.engines[self.engine_of(thread)].peek_next(now)
-    }
-
     fn pending(&self) -> usize {
         self.global.len()
             + self

@@ -31,6 +31,8 @@
 //! the versioned `minnow-explore-frontier/v1` JSONL artifact plus a
 //! human-readable table.
 
+#![forbid(unsafe_code)]
+
 pub mod frontier;
 pub mod journal;
 pub mod space;
@@ -60,17 +62,6 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Sweep-pool worker threads (simulations in flight at once).
     pub pool_threads: usize,
-    /// Bound-weave threads per simulation point.
-    pub point_threads: usize,
-    /// Skip the sharded weave's adaptive serial fallback (see
-    /// `minnow_bench::sweep::SweepConfig::pin_point_threads`).
-    pub pin_point_threads: bool,
-    /// Explicit front-shard count within each point's `point_threads`
-    /// budget (see `minnow_bench::sweep::SweepConfig::front_shards`).
-    pub front_shards: Option<usize>,
-    /// Speculative shard overlap toggle (see
-    /// `minnow_bench::sweep::SweepConfig::speculate`); outcome-neutral.
-    pub speculate: Option<bool>,
     /// Budget of *fresh* simulations this invocation may run; `None`
     /// is unbounded. Cached journal hits are always free. The budget
     /// selects a prefix of pending evaluations in enumeration order,
@@ -119,10 +110,6 @@ pub enum ExploreOutcome {
 pub fn explore(cfg: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let mut local = LocalEvaluator {
         pool_threads: cfg.pool_threads.max(1),
-        point_threads: cfg.point_threads.max(1),
-        pin_point_threads: cfg.pin_point_threads,
-        front_shards: cfg.front_shards,
-        speculate: cfg.speculate,
         verbose: cfg.verbose,
         tag: "explore".into(),
     };
@@ -317,10 +304,6 @@ mod tests {
             strategy: Strategy::Grid,
             seed: 42,
             pool_threads: 2,
-            point_threads: 1,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
             max_fresh_evals: None,
             journal_path: path.clone(),
             verbose: false,
@@ -370,10 +353,6 @@ mod tests {
             strategy: Strategy::Grid,
             seed: 42,
             pool_threads: 2,
-            point_threads: 1,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
             max_fresh_evals: None,
             journal_path: path.clone(),
             verbose: false,
@@ -404,10 +383,6 @@ mod tests {
             strategy: Strategy::Grid,
             seed: 42,
             pool_threads: 2,
-            point_threads: 1,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
             max_fresh_evals: Some(1),
             journal_path: base.clone(),
             verbose: false,

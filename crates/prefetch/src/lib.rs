@@ -19,6 +19,7 @@
 //! graph node has equal to or fewer edges than the prefetch distance, then
 //! every issued prefetch request will be incorrect" (§6.3.3).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

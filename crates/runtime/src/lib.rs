@@ -39,11 +39,11 @@
 //! assert_eq!(report.tasks, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod bsp;
-pub mod front;
 pub mod op;
 pub mod par;
 pub mod sched;
@@ -53,7 +53,7 @@ pub mod split;
 pub mod task;
 pub mod worklist;
 
-pub use crate::op::{Operator, PrefetchKind, SpecWrite, TaskCtx};
+pub use crate::op::{Operator, PrefetchKind, TaskCtx};
 pub use crate::sched::{SchedulerModel, SoftwareScheduler};
 pub use crate::sim_exec::{run, run_software, ExecConfig, RunReport};
 pub use crate::task::Task;

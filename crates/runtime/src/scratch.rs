@@ -40,16 +40,6 @@ pub struct TaskScratch {
     pub trace: TaskTrace,
     /// Split buffer for the enqueue loop ([`crate::split::split_task_into`]).
     pub parts: Vec<Task>,
-    /// Shared fetches left in flight on the weave during this task's charge
-    /// loop: `(delinquent-latency slot to patch, fetch seq)`. Settled at the
-    /// task-end barrier inside [`charge_task`]; always empty between tasks.
-    pending_fetches: Vec<(Option<usize>, u64)>,
-    /// The canonical `(clock, core)` key of the last task begun through
-    /// [`TaskScratch::begin_task_at`] — the executor's dispatch order.
-    /// Debug builds assert the sequence is lexicographically nondecreasing,
-    /// i.e. that front sharding never reorders the serial oracle's
-    /// linearization.
-    last_key: Option<(Cycle, usize)>,
 }
 
 impl TaskScratch {
@@ -59,8 +49,6 @@ impl TaskScratch {
             ctx: TaskCtx::new(map, count_atomics_as_stores),
             trace: TaskTrace::default(),
             parts: Vec::new(),
-            pending_fetches: Vec::new(),
-            last_key: None,
         }
     }
 
@@ -68,39 +56,6 @@ impl TaskScratch {
     #[inline]
     pub fn begin_task(&mut self) {
         self.ctx.reset();
-    }
-
-    /// Like [`TaskScratch::begin_task`], but also records the canonical
-    /// `(clock, core)` dispatch key and debug-asserts the sequence is
-    /// lexicographically nondecreasing — the front-sharded executor's
-    /// issue-order invariant (see `minnow_runtime::front`). The BSP
-    /// executor charges in round-robin order, not canonical order, so it
-    /// keeps plain [`TaskScratch::begin_task`].
-    #[inline]
-    pub fn begin_task_at(&mut self, now: Cycle, core: usize) {
-        debug_assert!(
-            self.last_key.is_none_or(|prev| prev <= (now, core)),
-            "canonical dispatch order violated: {:?} then {:?}",
-            self.last_key,
-            (now, core)
-        );
-        self.last_key = Some((now, core));
-        self.ctx.reset();
-    }
-
-    /// Records the canonical dispatch key like
-    /// [`TaskScratch::begin_task_at`] but *without* resetting the recorder:
-    /// used when committing a validated speculation, whose pre-recorded
-    /// `TaskCtx` is swapped in wholesale instead of being re-recorded.
-    #[inline]
-    pub fn note_task_at(&mut self, now: Cycle, core: usize) {
-        debug_assert!(
-            self.last_key.is_none_or(|prev| prev <= (now, core)),
-            "canonical dispatch order violated: {:?} then {:?}",
-            self.last_key,
-            (now, core)
-        );
-        self.last_key = Some((now, core));
     }
 }
 
@@ -132,57 +87,26 @@ pub fn charge_task(
     counters: &mut ChargeCounters,
 ) -> TaskCycles {
     scratch.trace.delinquent_latencies.clear();
-    debug_assert!(scratch.pending_fetches.is_empty());
     let ctx = &scratch.ctx;
     let delinquent = &mut scratch.trace.delinquent_latencies;
-    let pending = &mut scratch.pending_fetches;
     let mut first_touch_loads = 0u64;
     for (k, acc) in ctx.accesses().iter().enumerate() {
         let at = t0 + 2 * k as Cycle;
-        let res = mem.access_deferred(thread, acc.addr, acc.kind, at);
+        let res = mem.access(thread, acc.addr, acc.kind, at);
         if acc.kind == AccessKind::Load {
             first_touch_loads += u64::from(acc.first_touch);
             if let Some((hw, image)) = hw_prefetcher.as_mut() {
                 hw.on_demand_load(thread, acc.addr, acc.value, at, mem, *image);
             }
         }
-        if let Some(seq) = res.pending {
-            // The fetch's shared leg is still on the weave. A deferred
-            // fetch always left the private caches, so the delinquency
-            // decision needs no latency — only the slot to patch does.
-            if acc.first_touch {
-                delinquent.push(res.result.latency);
-                pending.push((Some(delinquent.len() - 1), seq));
-                if acc.kind == AccessKind::Load {
-                    counters.delinquent_loads += 1;
-                }
-            } else {
-                pending.push((None, seq));
-            }
-        } else if acc.first_touch && res.result.level > CacheLevel::L1 {
-            delinquent.push(res.result.latency);
+        if acc.first_touch && res.level > CacheLevel::L1 {
+            delinquent.push(res.latency);
             if acc.kind == AccessKind::Load {
                 counters.delinquent_loads += 1;
             }
         }
     }
     counters.total_loads += first_touch_loads + ctx.other_loads();
-
-    // Task-end barrier: fold the weave's latencies into the delinquent
-    // slots before the core model consumes them. By this point the weave
-    // has been absorbing the fetches while the loop above kept running.
-    if !scratch.pending_fetches.is_empty() {
-        mem.drain_weave();
-        let delinquent = &mut scratch.trace.delinquent_latencies;
-        for (slot, seq) in scratch.pending_fetches.drain(..) {
-            let (beyond, _level) = mem
-                .take_beyond(seq)
-                .expect("task-end drain settles every charge fetch");
-            if let Some(i) = slot {
-                delinquent[i] += beyond;
-            }
-        }
-    }
 
     scratch.trace.instructions = ctx.instrs().max(1);
     scratch.trace.branches = ctx.branches();

@@ -42,13 +42,6 @@ pub trait Worklist: std::fmt::Debug {
     fn push(&mut self, task: Task);
     /// Removes the next task according to the policy.
     fn pop(&mut self) -> Option<Task>;
-    /// The exact task the next [`Worklist::pop`] would return, without
-    /// removing it. Used by the speculative front to pre-execute a shard's
-    /// next task before the baton arrives; `None` (the default) declines,
-    /// which only reduces speculation coverage.
-    fn peek(&self) -> Option<Task> {
-        None
-    }
     /// Number of pending tasks.
     fn len(&self) -> usize;
     /// Whether no tasks are pending.
@@ -93,9 +86,6 @@ impl Worklist for Fifo {
     fn pop(&mut self) -> Option<Task> {
         self.q.pop_front()
     }
-    fn peek(&self) -> Option<Task> {
-        self.q.front().copied()
-    }
     fn len(&self) -> usize {
         self.q.len()
     }
@@ -130,9 +120,6 @@ impl Worklist for Lifo {
     }
     fn pop(&mut self) -> Option<Task> {
         self.q.pop()
-    }
-    fn peek(&self) -> Option<Task> {
-        self.q.last().copied()
     }
     fn len(&self) -> usize {
         self.q.len()
@@ -201,15 +188,6 @@ impl Worklist for ChunkedFifo {
             self.chunks.pop_front();
         }
     }
-    fn peek(&self) -> Option<Task> {
-        // `pop` drains each chunk from its *back* (cheap `Vec::pop`), so
-        // the next task out is the last element of the first non-empty
-        // chunk.
-        self.chunks
-            .iter()
-            .find(|c| !c.is_empty())
-            .and_then(|c| c.last().copied())
-    }
     fn len(&self) -> usize {
         self.len
     }
@@ -272,12 +250,6 @@ impl Worklist for Obim {
         self.len -= 1;
         Some(t)
     }
-    fn peek(&self) -> Option<Task> {
-        self.buckets
-            .values()
-            .next()
-            .and_then(|q| q.front().copied())
-    }
     fn len(&self) -> usize {
         self.len
     }
@@ -328,16 +300,6 @@ impl Worklist for StrictPriority {
             edge_lo: lo,
             edge_hi: hi,
         })
-    }
-    fn peek(&self) -> Option<Task> {
-        self.heap
-            .peek()
-            .map(|&std::cmp::Reverse((p, n, lo, hi))| Task {
-                priority: p,
-                node: n,
-                edge_lo: lo,
-                edge_hi: hi,
-            })
     }
     fn len(&self) -> usize {
         self.heap.len()
@@ -517,29 +479,6 @@ mod tests {
         }
         assert!(PolicyKind::Obim(2).is_ordered());
         assert!(!PolicyKind::Fifo.is_ordered());
-    }
-
-    #[test]
-    fn peek_matches_pop_for_every_policy() {
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::Lifo,
-            PolicyKind::Chunked(3),
-            PolicyKind::Obim(2),
-            PolicyKind::Strict,
-        ] {
-            let mut w = kind.build();
-            assert_eq!(w.peek(), None, "{}", kind.label());
-            for (i, p) in [9u64, 2, 7, 2, 5, 1, 8, 3].iter().enumerate() {
-                w.push(t(*p, i as u32));
-            }
-            while !w.is_empty() {
-                let peeked = w.peek();
-                let popped = w.pop();
-                assert_eq!(peeked, popped, "{}", kind.label());
-            }
-            assert_eq!(w.peek(), None, "{}", kind.label());
-        }
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub struct ServeConfig {
     /// Local simulation threads. Zero is legal: the daemon then serves
     /// only from the store and remote workers.
     pub local_executors: usize,
-    /// Bound-weave threads per simulation point (outcome-neutral).
+    /// Inert: nothing reads it. Kept only because the `benchmark/`
+    /// crate's serve workload sets it.
     pub point_threads: usize,
     /// Artifact and journal directory for sweep/explore ops.
     pub out_dir: PathBuf,
@@ -376,10 +377,6 @@ impl Inner {
             strategy,
             seed,
             pool_threads: pool,
-            point_threads: self.cfg.point_threads,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
             max_fresh_evals: max_fresh,
             journal_path,
             verbose: self.cfg.verbose,
@@ -530,7 +527,6 @@ fn executor_loop(inner: &Arc<Inner>) {
 fn run_local(inner: &Arc<Inner>, job: &QueueJob) -> EvalOutcome {
     let t0 = Instant::now();
     let mut local = LocalEvaluator {
-        point_threads: inner.cfg.point_threads.max(1),
         verbose: inner.cfg.verbose,
         tag: "serve".into(),
         ..LocalEvaluator::serial()

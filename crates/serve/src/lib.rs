@@ -39,6 +39,7 @@
 //! * [`worker`] — the pull-mode remote worker loop,
 //! * [`client`] — request/response helpers for clients and tests.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;

@@ -13,9 +13,8 @@
 //!   identity, point fingerprint, seed, scale, input digest — is all
 //!   here: seed and scale live inside the wire form.
 //! * **run wire form** — `minnow_bench::eval::run_to_json`, the
-//!   canonical serialization of exactly the simulation-relevant fields
-//!   (and none of the outcome-neutral host-threading knobs), so two
-//!   requests that must simulate identically share a key.
+//!   canonical serialization of exactly the simulation-relevant fields,
+//!   so two requests that must simulate identically share a key.
 //! * **input digest** — FNV-1a/64 over the input file's bytes for
 //!   external graphs (`gen` for generated inputs), so editing a graph
 //!   on disk invalidates its cached results even at the same path.
@@ -397,10 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_namespaces_and_simulation_relevant_fields_only() {
+    fn keys_separate_namespaces_and_track_simulation_fields() {
         let mut a = BenchRun::minnow(WorkloadKind::Bfs, 2);
-        let mut b = a.clone();
-        b.point_threads = 8; // host-threading knob: outcome-neutral
+        let b = a.clone();
         assert_eq!(
             store_key("adhoc", &a).unwrap(),
             store_key("adhoc", &b).unwrap()

@@ -30,8 +30,6 @@ pub struct WorkerConfig {
     pub addr: ServeAddr,
     /// Name announced in the handshake (log cosmetics only).
     pub name: String,
-    /// Bound-weave threads per simulation (outcome-neutral).
-    pub point_threads: usize,
     /// Fault injection: drop the connection, without acknowledging,
     /// upon receiving the job after this many completed evaluations.
     pub die_after: Option<usize>,
@@ -45,7 +43,6 @@ impl WorkerConfig {
         WorkerConfig {
             addr,
             name: format!("worker-{}", std::process::id()),
-            point_threads: 1,
             die_after: None,
             verbose: false,
         }
@@ -104,7 +101,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<usize, String> {
         }
         let t0 = Instant::now();
         let mut local = LocalEvaluator {
-            point_threads: cfg.point_threads.max(1),
             verbose: cfg.verbose,
             tag: cfg.name.clone(),
             ..LocalEvaluator::serial()

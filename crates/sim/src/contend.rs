@@ -31,9 +31,8 @@ const MAX_INTERVALS: usize = 256;
 /// after `now`, gap-filling between existing reservations. Used by
 /// [`SharedResource`], NoC links, and DRAM channels — anywhere one physical
 /// resource serves requests arriving at non-monotonic virtual times.
-/// `PartialEq` compares the live booked window — the sharded weave's
-/// oracle tests assert lane-merged timelines equal the serial ones bit for
-/// bit.
+/// `PartialEq` compares the live booked window, not entries already
+/// coalesced away.
 #[derive(Debug, Clone, Default)]
 pub struct GapTracker {
     /// Booked intervals; `busy[head..]` is the live window. Entries before

@@ -18,15 +18,9 @@ use crate::cache::Cache;
 use crate::config::SimConfig;
 use crate::cycles::Cycle;
 use crate::dram::Dram;
-use crate::noc::{self, Noc};
+use crate::noc::Noc;
 use crate::stats::MetricsRegistry;
 use crate::trace::{TraceEvent, Tracer};
-use crate::weave::{SharedFabric, WeaveClient};
-
-/// Marks a `prefetch_ready` arrival value as "still being computed by the
-/// weave"; the low bits then hold the fetch's sequence number. Real arrival
-/// cycles never reach this bit.
-const PREFETCH_PENDING_TAG: u64 = 1 << 63;
 
 /// Kind of demand access issued by a worker core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,90 +98,14 @@ pub struct CoreMemStats {
     pub engine_l2_misses: u64,
 }
 
-/// Outcome of [`MemoryHierarchy::access_deferred`]: either a fully resolved
-/// access, or one whose shared-fetch leg is still in flight on the weave.
-#[derive(Debug, Clone, Copy)]
-pub struct DeferredAccess {
-    /// When `pending` is `None` this is the final result. When the fetch is
-    /// deferred, `latency` holds only the private-side portion (L2 +
-    /// coherence) and `level` is a placeholder — add the fetch's `beyond`
-    /// latency and take its level once resolved.
-    pub result: AccessResult,
-    /// Sequence number of the in-flight shared fetch, to be settled with
-    /// [`MemoryHierarchy::take_beyond`] or
-    /// [`MemoryHierarchy::resolve_beyond`].
-    pub pending: Option<u64>,
-}
-
-/// Outcome of [`MemoryHierarchy::prefetch_fill_deferred`].
-#[derive(Debug, Clone, Copy)]
-pub enum PrefetchIssue {
-    /// Line already resident in the L2: nothing fetched, no credit consumed.
-    Resident,
-    /// Fill serviced synchronously (inline fabric): full result available.
-    Filled(PrefetchResult),
-    /// Fill issued to the weave; it completes at
-    /// `issue time + base + beyond(seq)`.
-    Deferred {
-        /// Sequence number to settle via
-        /// [`MemoryHierarchy::take_beyond`]/[`MemoryHierarchy::resolve_beyond`].
-        seq: u64,
-        /// Private-side latency ahead of the shared fetch (the L2 leg).
-        base: Cycle,
-        /// Sound lower bound on the fetch's `beyond` latency (uncontended
-        /// single-hop L3 round trip); `base + min_beyond` lower-bounds the
-        /// full fill latency.
-        min_beyond: Cycle,
-    },
-}
-
-/// A settled shared fetch parked until its consumer collects it.
-#[derive(Debug, Clone, Copy)]
-struct ResolvedFetch {
-    beyond: Cycle,
-    level: CacheLevel,
-}
-
-impl Default for ResolvedFetch {
-    fn default() -> Self {
-        ResolvedFetch {
-            beyond: 0,
-            level: CacheLevel::L1,
-        }
-    }
-}
-
-/// Deferred `prefetch_ready` arrival awaiting its weave reply.
-#[derive(Debug, Clone, Copy)]
-struct PrefetchPatch {
-    core: u32,
-    line: u64,
-    seq: u64,
-    issued_at: Cycle,
-}
-
-/// The shared L3/NoC/DRAM half of the hierarchy: carried inline on the
-/// executor thread (the serial oracle path) or by a dedicated weave thread
-/// (bound-weave mode, see [`crate::weave`]).
-#[derive(Debug)]
-enum Fabric {
-    /// Shared state lives on the calling thread; every fetch resolves
-    /// synchronously. This is today's serial path, bit for bit. Boxed:
-    /// the fabric is ~1.5 KB while the other variants are pointer-sized.
-    Inline(Box<SharedFabric>),
-    /// Shared state lives on the weave thread; fetches are recorded as
-    /// ordered events and resolved at barriers.
-    Threaded(Box<WeaveClient>),
-    /// Transient marker while the fabric moves between modes.
-    Moving,
-}
-
 /// The complete memory subsystem of the simulated CMP.
 #[derive(Debug)]
 pub struct MemoryHierarchy {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
-    fabric: Fabric,
+    l3: Cache,
+    noc: Noc,
+    dram: Dram,
     l1_latency: Cycle,
     l2_latency: Cycle,
     l3_latency: Cycle,
@@ -214,16 +132,6 @@ pub struct MemoryHierarchy {
     /// Structured event sink; disabled by default (zero timing impact
     /// either way — tracing only observes).
     tracer: Tracer,
-    /// Mesh geometry copies so coherence costs (pure functions of tile
-    /// distance) stay computable while the NoC lives on the weave thread.
-    mesh_width: usize,
-    hop_cycles: Cycle,
-    /// Settled weave fetches awaiting their consumer (charge barrier, WDP
-    /// load-buffer, prefetch-arrival patches).
-    resolved: FxMap64<ResolvedFetch>,
-    /// Tagged `prefetch_ready` entries to rewrite with real arrival times
-    /// at the next drain.
-    prefetch_patches: Vec<PrefetchPatch>,
 }
 
 impl MemoryHierarchy {
@@ -242,12 +150,9 @@ impl MemoryHierarchy {
         MemoryHierarchy {
             l1: (0..cfg.cores).map(|_| Cache::new(cfg.l1d)).collect(),
             l2: (0..cfg.cores).map(|_| Cache::new(cfg.l2)).collect(),
-            fabric: Fabric::Inline(Box::new(SharedFabric {
-                l3: Cache::new(cfg.l3),
-                noc: Noc::new(cfg.mesh_width, cfg.noc_hop_cycles, cfg.noc_link_bytes),
-                dram: Dram::new(cfg.mem_channels, cfg.mem_latency, cfg.mem_channel_service),
-                l3_latency: cfg.l3.latency,
-            })),
+            l3: Cache::new(cfg.l3),
+            noc: Noc::new(cfg.mesh_width, cfg.noc_hop_cycles, cfg.noc_link_bytes),
+            dram: Dram::new(cfg.mem_channels, cfg.mem_latency, cfg.mem_channel_service),
             l1_latency: cfg.l1d.latency,
             l2_latency: cfg.l2.latency,
             l3_latency: cfg.l3.latency,
@@ -259,177 +164,6 @@ impl MemoryHierarchy {
             prefetch_invalidated: 0,
             core_stats: vec![CoreMemStats::default(); cfg.cores],
             tracer: Tracer::disabled(),
-            mesh_width: cfg.mesh_width,
-            hop_cycles: cfg.noc_hop_cycles,
-            resolved: FxMap64::new(),
-            prefetch_patches: Vec::new(),
-        }
-    }
-
-    // ---- bound-weave control ---------------------------------------------
-
-    /// Moves the shared fabric (L3/NoC/DRAM) onto `lanes` dedicated weave
-    /// threads (the sharded ticket-scoreboard engine in [`crate::weave`];
-    /// `lanes == 1` is the degenerate single-thread weave).
-    ///
-    /// Returns `false` — leaving the serial inline path active — when a
-    /// tracer is installed: trace capture observes shared-fetch internals
-    /// in emission order, so traced points always run on the serial oracle
-    /// path (their output is identical either way by the determinism
-    /// contract, so nothing is lost). Also refuses meshes wider than the
-    /// sharded engine's fixed-size route plans cover (anything past the
-    /// paper's 8x8 — never reached by the stock configs).
-    ///
-    /// `max_inflight` bounds outstanding fetches before the front
-    /// self-drains; like `lanes` it is pure flow control and never changes
-    /// simulated outcomes (`tests/props.rs` pins that).
-    pub fn enable_weave(&mut self, max_inflight: usize, lanes: usize) -> bool {
-        if self.tracer.is_enabled() {
-            return false;
-        }
-        if matches!(self.fabric, Fabric::Threaded(_)) {
-            return true;
-        }
-        let Fabric::Inline(fabric) = std::mem::replace(&mut self.fabric, Fabric::Moving) else {
-            unreachable!("fabric present outside transitions");
-        };
-        if !fabric.supports_sharding() {
-            self.fabric = Fabric::Inline(fabric);
-            return false;
-        }
-        self.fabric = Fabric::Threaded(Box::new(WeaveClient::spawn(*fabric, max_inflight, lanes)));
-        true
-    }
-
-    /// Whether the shared fabric currently lives on a weave thread.
-    pub fn weave_active(&self) -> bool {
-        matches!(self.fabric, Fabric::Threaded(_))
-    }
-
-    /// Weave lane threads currently serving the shared fabric (`0` on the
-    /// serial inline path). Executors report this as `lane_threads_used`.
-    pub fn weave_lanes(&self) -> usize {
-        match &self.fabric {
-            Fabric::Threaded(client) => client.lanes(),
-            _ => 0,
-        }
-    }
-
-    /// Barrier: blocks until every recorded shared fetch has been replayed
-    /// by the weave, parks the results for their consumers, and rewrites
-    /// deferred prefetch arrival times. No-op on the inline path.
-    pub fn drain_weave(&mut self) {
-        {
-            let Fabric::Threaded(client) = &mut self.fabric else {
-                return;
-            };
-            for r in client.drain() {
-                if r.level == CacheLevel::Memory {
-                    self.core_stats[r.core as usize].l3_misses += 1;
-                }
-                self.resolved.insert(
-                    r.seq,
-                    ResolvedFetch {
-                        beyond: r.beyond,
-                        level: r.level,
-                    },
-                );
-            }
-        }
-        // Every tagged arrival issued since the last drain is now resolved;
-        // rewrite the ones whose lines are still marked (entries evicted or
-        // re-prefetched in the meantime are skipped by the tag comparison).
-        while let Some(p) = self.prefetch_patches.pop() {
-            let Some(r) = self.resolved.get(p.seq) else {
-                continue;
-            };
-            let arrival = p.issued_at + self.l2_latency + r.beyond;
-            if let Some(v) = self.prefetch_ready[p.core as usize].get_mut(p.line) {
-                if *v == PREFETCH_PENDING_TAG | p.seq {
-                    *v = arrival;
-                }
-            }
-        }
-    }
-
-    /// Finishes bound-weave mode: drains, joins the weave thread, and
-    /// brings the fabric back inline so stats accessors work again. No-op
-    /// when already inline.
-    pub fn finish_weave(&mut self) {
-        if !self.weave_active() {
-            return;
-        }
-        self.drain_weave();
-        let Fabric::Threaded(client) = std::mem::replace(&mut self.fabric, Fabric::Moving) else {
-            unreachable!("weave_active checked");
-        };
-        self.fabric = Fabric::Inline(Box::new(client.finish()));
-        // Fetches whose consumer never returned (e.g. a WDP load buffer
-        // still holding entries at the end of the run) are dropped here.
-        self.resolved.clear();
-    }
-
-    /// Collects a settled shared fetch if its reply has arrived, consuming
-    /// it. Never blocks.
-    pub fn take_beyond(&mut self, seq: u64) -> Option<(Cycle, CacheLevel)> {
-        self.resolved.remove(seq).map(|r| (r.beyond, r.level))
-    }
-
-    /// Collects a settled shared fetch, draining the weave first if its
-    /// reply is still in flight.
-    pub fn resolve_beyond(&mut self, seq: u64) -> (Cycle, CacheLevel) {
-        if let Some(r) = self.take_beyond(seq) {
-            return r;
-        }
-        self.drain_weave();
-        self.take_beyond(seq)
-            .expect("an issued fetch resolves after a drain")
-    }
-
-    /// Sound lower bound on any fetch's latency beyond the private caches:
-    /// one uncontended NoC hop each way around an L3 hit.
-    pub fn min_beyond_latency(&self) -> Cycle {
-        2 * self.hop_cycles + self.l3_latency
-    }
-
-    /// The private L2 access latency (the fixed leg ahead of every shared
-    /// fetch).
-    pub fn l2_latency(&self) -> Cycle {
-        self.l2_latency
-    }
-
-    /// The inline fabric, for accessors that read shared state directly.
-    fn fabric_inline(&self) -> &SharedFabric {
-        match &self.fabric {
-            Fabric::Inline(f) => f,
-            _ => panic!("shared-fabric state is on the weave thread; call finish_weave() first"),
-        }
-    }
-
-    fn fabric_inline_mut(&mut self) -> &mut SharedFabric {
-        match &mut self.fabric {
-            Fabric::Inline(f) => f,
-            _ => panic!("shared-fabric state is on the weave thread; call finish_weave() first"),
-        }
-    }
-
-    /// Records one shared-fetch event in canonical order; the weave replays
-    /// it against the fabric. Threaded mode only.
-    fn issue_fetch(&mut self, core: usize, line: u64, now: Cycle) -> u64 {
-        let bank = self.bank_of(line);
-        let Fabric::Threaded(client) = &mut self.fabric else {
-            unreachable!("issue_fetch requires the weave");
-        };
-        client.issue(core, bank, line, now)
-    }
-
-    /// Flow control: drains when the front has run too far ahead of the
-    /// weave. Outcome-neutral by construction.
-    fn drain_if_over_cap(&mut self) {
-        if let Fabric::Threaded(client) = &self.fabric {
-            if client.over_cap() {
-                self.drain_weave();
-            }
         }
     }
 
@@ -441,17 +175,7 @@ impl MemoryHierarchy {
     /// Installs a tracer; the hierarchy and anything that clones the
     /// handle via [`MemoryHierarchy::tracer`] (executors, prefetch
     /// pipelines) will report structured events into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weave is active: tracing observes shared-fetch
-    /// internals in emission order, so the tracer must be installed before
-    /// [`MemoryHierarchy::enable_weave`] decides the execution mode.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        assert!(
-            !self.weave_active() || !tracer.is_enabled(),
-            "install the tracer before enabling the weave"
-        );
         self.tracer = tracer;
     }
 
@@ -467,31 +191,6 @@ impl MemoryHierarchy {
 
     /// Demand access from `core` at virtual time `now`.
     pub fn access(&mut self, core: usize, addr: u64, kind: AccessKind, now: Cycle) -> AccessResult {
-        self.access_inner(core, addr, kind, now, false).result
-    }
-
-    /// Demand access that may leave its shared-fetch leg in flight on the
-    /// weave (bound-weave mode; identical to [`MemoryHierarchy::access`] on
-    /// the inline path). Used by the executors' charge loop, which folds
-    /// deferred latencies back in at the task barrier.
-    pub fn access_deferred(
-        &mut self,
-        core: usize,
-        addr: u64,
-        kind: AccessKind,
-        now: Cycle,
-    ) -> DeferredAccess {
-        self.access_inner(core, addr, kind, now, true)
-    }
-
-    fn access_inner(
-        &mut self,
-        core: usize,
-        addr: u64,
-        kind: AccessKind,
-        now: Cycle,
-        defer: bool,
-    ) -> DeferredAccess {
         debug_assert!(core < self.cores);
         let write = kind.is_write();
         // One decomposition for every level (the line address doubles as
@@ -517,13 +216,10 @@ impl MemoryHierarchy {
             if write {
                 latency += self.ownership_cost(core, line, now);
             }
-            return DeferredAccess {
-                result: AccessResult {
-                    latency,
-                    level: CacheLevel::L1,
-                    prefetch_consumed,
-                },
-                pending: None,
+            return AccessResult {
+                latency,
+                level: CacheLevel::L1,
+                prefetch_consumed,
             };
         }
         self.core_stats[core].l1_misses += 1;
@@ -540,39 +236,15 @@ impl MemoryHierarchy {
             if write {
                 latency += self.ownership_cost(core, line, now);
             }
-            return DeferredAccess {
-                result: AccessResult {
-                    latency,
-                    level: CacheLevel::L2,
-                    prefetch_consumed: l2.prefetch_consumed,
-                },
-                pending: None,
+            return AccessResult {
+                latency,
+                level: CacheLevel::L2,
+                prefetch_consumed: l2.prefetch_consumed,
             };
         }
         self.core_stats[core].l2_misses += 1;
 
-        // Beyond the private caches. In bound-weave mode the fetch is
-        // recorded for the weave and resolved later: the private-side fill,
-        // directory update, and coherence cost do not depend on the fetch's
-        // latency, so they proceed immediately in serial order.
-        if defer && self.weave_active() {
-            let seq = self.issue_fetch(core, line, now + self.l2_latency);
-            self.fill_private(core, line, write, FillDepth::L1AndL2, now);
-            self.directory_add_sharer(core, line);
-            let mut latency = self.l2_latency;
-            if write {
-                latency += self.ownership_cost(core, line, now);
-            }
-            self.drain_if_over_cap();
-            return DeferredAccess {
-                result: AccessResult {
-                    latency,
-                    level: CacheLevel::L3, // placeholder; settled with the fetch
-                    prefetch_consumed: false,
-                },
-                pending: Some(seq),
-            };
-        }
+        // Beyond the private caches.
         let (beyond_latency, level) = self.fetch_from_shared(core, line, now + self.l2_latency);
         self.fill_private(core, line, write, FillDepth::L1AndL2, now);
         self.directory_add_sharer(core, line);
@@ -580,13 +252,10 @@ impl MemoryHierarchy {
         if write {
             latency += self.ownership_cost(core, line, now);
         }
-        DeferredAccess {
-            result: AccessResult {
-                latency,
-                level,
-                prefetch_consumed: false,
-            },
-            pending: None,
+        AccessResult {
+            latency,
+            level,
+            prefetch_consumed: false,
         }
     }
 
@@ -629,51 +298,6 @@ impl MemoryHierarchy {
             latency,
             filled: true,
             level,
-        }
-    }
-
-    /// [`MemoryHierarchy::prefetch_fill`] that may leave its shared-fetch
-    /// leg on the weave. The line is marked resident immediately (serial
-    /// order is preserved); its `prefetch_ready` arrival time is tagged
-    /// with the fetch's sequence number and rewritten with the real value
-    /// at the next drain (early demand consumers force that drain via
-    /// [`Self::prefetch_arrival_stall`]).
-    pub fn prefetch_fill_deferred(&mut self, core: usize, addr: u64, now: Cycle) -> PrefetchIssue {
-        if !self.weave_active() {
-            let res = self.prefetch_fill(core, addr, now);
-            return if res.filled {
-                PrefetchIssue::Filled(res)
-            } else {
-                PrefetchIssue::Resident
-            };
-        }
-        debug_assert!(core < self.cores);
-        let line = addr >> self.line_shift;
-        if self.l2[core].probe_line(line) {
-            return PrefetchIssue::Resident;
-        }
-        let seq = self.issue_fetch(core, line, now + self.l2_latency);
-        if let Some(ev) = self.l2[core].fill_line(line, false, true) {
-            if ev.prefetch_unused {
-                self.pending_credits[core] += 1;
-                self.prefetch_ready[core].remove(ev.line_addr);
-            }
-            self.directory_remove_sharer_line(core, ev.line_addr);
-            // No tracer emission: traced points never enable the weave.
-        }
-        self.directory_add_sharer(core, line);
-        self.prefetch_ready[core].insert(line, PREFETCH_PENDING_TAG | seq);
-        self.prefetch_patches.push(PrefetchPatch {
-            core: core as u32,
-            line,
-            seq,
-            issued_at: now,
-        });
-        self.drain_if_over_cap();
-        PrefetchIssue::Deferred {
-            seq,
-            base: self.l2_latency,
-            min_beyond: self.min_beyond_latency(),
         }
     }
 
@@ -735,62 +359,6 @@ impl MemoryHierarchy {
         }
     }
 
-    // ---- speculative private probes --------------------------------------
-
-    /// Opens a speculative probe window over `core`'s private L1/L2 (see
-    /// [`Cache::begin_spec`]). Within the window,
-    /// [`MemoryHierarchy::spec_probe_private`] replays the private-cache leg
-    /// of demand accesses with every mutation journaled;
-    /// [`MemoryHierarchy::rollback_spec_probe`] restores both caches
-    /// bit-for-bit. The shared fabric, directory, credit pool, and per-core
-    /// stats are deliberately out of scope — speculation stops at the first
-    /// shared-fabric touch, and the committed (post-validation) charge
-    /// replays the real path for all of them.
-    pub fn begin_spec_probe(&mut self, core: usize) {
-        debug_assert!(core < self.cores);
-        self.l1[core].begin_spec();
-        self.l2[core].begin_spec();
-    }
-
-    /// The private L1/L2 leg of [`MemoryHierarchy::access`] inside a probe
-    /// window: same lookup/fill/mark decisions against the same SoA arrays,
-    /// journaled for rollback. Returns the level that would service the
-    /// access, with `CacheLevel::L3` standing in for "beyond the private
-    /// caches" (the probe does not consult the shared fabric).
-    pub fn spec_probe_private(&mut self, core: usize, addr: u64, kind: AccessKind) -> CacheLevel {
-        debug_assert!(core < self.cores);
-        let write = kind.is_write();
-        let line = addr >> self.line_shift;
-        let l1 = self.l1[core].spec_access_line(line, write);
-        if l1.hit {
-            // The demand path consumes a lingering L2 mark on L1 hits.
-            self.l2[core].spec_consume_mark_line(line);
-            return CacheLevel::L1;
-        }
-        let l2 = self.l2[core].spec_access_line(line, write);
-        if l2.hit {
-            self.l1[core].spec_fill_line(line, write, false);
-            return CacheLevel::L2;
-        }
-        // Beyond the private caches: fill both levels exactly as the demand
-        // path would after the shared fetch returns.
-        self.l2[core].spec_fill_line(line, write, false);
-        self.l1[core].spec_fill_line(line, write, false);
-        CacheLevel::L3
-    }
-
-    /// Closes `core`'s probe window, restoring its L1 and L2 bit-for-bit.
-    pub fn rollback_spec_probe(&mut self, core: usize) {
-        self.l1[core].rollback_spec();
-        self.l2[core].rollback_spec();
-    }
-
-    /// Combined digest of `core`'s private L1/L2 state, for asserting that
-    /// a probe window left no trace (`MINNOW_SPEC_CHECK`).
-    pub fn spec_private_checksum(&self, core: usize) -> u64 {
-        self.l1[core].spec_checksum().rotate_left(17) ^ self.l2[core].spec_checksum()
-    }
-
     /// Drains prefetch credits returned to `core`'s engine by evictions and
     /// remote invalidations since the last drain.
     pub fn drain_returned_credits(&mut self, core: usize) -> u64 {
@@ -822,13 +390,8 @@ impl MemoryHierarchy {
     }
 
     /// The shared L3 cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics while the weave is active (the L3 lives on the weave thread);
-    /// call [`MemoryHierarchy::finish_weave`] first.
     pub fn l3_cache(&self) -> &Cache {
-        &self.fabric_inline().l3
+        &self.l3
     }
 
     /// Marked (prefetched, unused) lines lost to remote-write invalidations.
@@ -837,23 +400,13 @@ impl MemoryHierarchy {
     }
 
     /// The DRAM model (for bandwidth/queueing stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics while the weave is active; call
-    /// [`MemoryHierarchy::finish_weave`] first.
     pub fn dram(&self) -> &Dram {
-        &self.fabric_inline().dram
+        &self.dram
     }
 
     /// The NoC model (for congestion stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics while the weave is active; call
-    /// [`MemoryHierarchy::finish_weave`] first.
     pub fn noc(&self) -> &Noc {
-        &self.fabric_inline().noc
+        &self.noc
     }
 
     /// Snapshots hierarchy-wide metrics into a labeled registry:
@@ -870,12 +423,11 @@ impl MemoryHierarchy {
         reg.set("mem.engine_accesses", t.engine_accesses);
         reg.set("mem.engine_l2_misses", t.engine_l2_misses);
         reg.set("mem.prefetch_invalidated", self.prefetch_invalidated);
-        let fabric = self.fabric_inline();
-        reg.set("dram.accesses", fabric.dram.accesses());
-        reg.set("noc.packets", fabric.noc.packets());
-        reg.set("noc.hops", fabric.noc.total_hops());
-        reg.insert_histogram("dram.queue_cycles", fabric.dram.queue_histogram().clone());
-        reg.insert_histogram("noc.queue_cycles", fabric.noc.queue_histogram().clone());
+        reg.set("dram.accesses", self.dram.accesses());
+        reg.set("noc.packets", self.noc.packets());
+        reg.set("noc.hops", self.noc.total_hops());
+        reg.insert_histogram("dram.queue_cycles", self.dram.queue_histogram().clone());
+        reg.insert_histogram("noc.queue_cycles", self.noc.queue_histogram().clone());
         reg
     }
 
@@ -887,7 +439,7 @@ impl MemoryHierarchy {
         for c in &mut self.l2 {
             c.reset_stats();
         }
-        self.fabric_inline_mut().l3.reset_stats();
+        self.l3.reset_stats();
         for s in &mut self.core_stats {
             *s = CoreMemStats::default();
         }
@@ -898,18 +450,8 @@ impl MemoryHierarchy {
     /// Remaining cycles until an in-flight prefetch of `line` arrives in
     /// `core`'s L2 (0 when already arrived). Consumes the arrival record.
     fn prefetch_arrival_stall(&mut self, core: usize, line: u64, now: Cycle) -> Cycle {
-        if let Some(v) = self.prefetch_ready[core].get(line) {
-            // The fill is still in flight on the weave: barrier so the tag
-            // is rewritten with the real arrival cycle before we read it.
-            if *v & PREFETCH_PENDING_TAG != 0 {
-                self.drain_weave();
-            }
-        }
         match self.prefetch_ready[core].remove(line) {
-            Some(ready) => {
-                debug_assert_eq!(ready & PREFETCH_PENDING_TAG, 0, "drain settles arrivals");
-                ready.saturating_sub(now)
-            }
+            Some(ready) => ready.saturating_sub(now),
             None => 0,
         }
     }
@@ -929,36 +471,29 @@ impl MemoryHierarchy {
 
     /// Fetches a line from L3/DRAM on behalf of `core`; returns (latency
     /// beyond the private caches, servicing level) and fills the L3.
-    ///
-    /// Synchronous in either mode: on the threaded path it records the event
-    /// and immediately barriers (a round trip through the weave). Hot paths
-    /// that can tolerate latency arriving later use
-    /// [`Self::issue_fetch`]/[`Self::take_beyond`] instead.
     fn fetch_from_shared(&mut self, core: usize, line: u64, now: Cycle) -> (Cycle, CacheLevel) {
         let bank = self.bank_of(line);
-        match &mut self.fabric {
-            Fabric::Inline(fabric) => {
-                let out = fabric.fetch(core, bank, line, now);
-                if out.level == CacheLevel::Memory {
-                    self.core_stats[core].l3_misses += 1;
-                    if self.tracer.is_enabled() {
-                        let queued = out.dram_queued;
-                        let hops = out.noc_hops;
-                        self.tracer.emit(|| {
-                            TraceEvent::counter("dram_queue", "dram", core as u32, now, queued)
-                        });
-                        self.tracer
-                            .emit(|| TraceEvent::counter("noc_hops", "noc", core as u32, now, hops));
-                    }
-                }
-                (out.beyond, out.level)
-            }
-            Fabric::Threaded(_) => {
-                let seq = self.issue_fetch(core, line, now);
-                self.resolve_beyond(seq)
-            }
-            Fabric::Moving => unreachable!("fabric present outside transitions"),
+        let req = self.noc.route(core, bank, 16, now);
+        let l3 = self.l3.access_line(line, false);
+        if l3.hit {
+            let resp = self.noc.route(bank, core, 64, now + req + self.l3_latency);
+            return (req + self.l3_latency + resp, CacheLevel::L3);
         }
+        self.core_stats[core].l3_misses += 1;
+        let mem = self.dram.access(line, now + req + self.l3_latency);
+        self.l3.fill_line(line, false, false);
+        let resp = self
+            .noc
+            .route(bank, core, 64, now + req + self.l3_latency + mem);
+        if self.tracer.is_enabled() {
+            let queued = mem - self.dram.base_latency();
+            let hops = self.noc.total_hops();
+            self.tracer
+                .emit(|| TraceEvent::counter("dram_queue", "dram", core as u32, now, queued));
+            self.tracer
+                .emit(|| TraceEvent::counter("noc_hops", "noc", core as u32, now, hops));
+        }
+        (req + self.l3_latency + mem + resp, CacheLevel::Memory)
     }
 
     /// Fill the private caches after a hit at an outer level.
@@ -1009,12 +544,9 @@ impl MemoryHierarchy {
             }
             self.l1[other].invalidate_line(line);
             // One invalidation round-trip dominates; extra sharers add a
-            // small serialization cost. Coherence cost is a pure function
-            // of tile distance (no link reservations), so it stays on the
-            // front even when the NoC lives on the weave thread.
+            // small serialization cost.
             if cost == 0 {
-                cost = noc::ideal_latency_between(self.mesh_width, self.hop_cycles, core, other) * 2
-                    + self.l3_latency;
+                cost = self.noc.ideal_latency(core, other) * 2 + self.l3_latency;
             } else {
                 cost += 2;
             }
@@ -1177,28 +709,6 @@ mod tests {
         // A later re-access is a plain L1 hit (the first access filled L1).
         let late = m.access(0, 0x8000, AccessKind::Load, p.latency + 100);
         assert_eq!(late.latency, 4);
-    }
-
-    #[test]
-    fn spec_probe_rolls_back_private_caches() {
-        let mut m = hierarchy(2);
-        // Warm a mix of levels, including a marked prefetch line.
-        m.access(0, 0x1000, AccessKind::Load, 0);
-        m.prefetch_fill(0, 0x8000, 100);
-        let sum = m.spec_private_checksum(0);
-
-        m.begin_spec_probe(0);
-        assert_eq!(m.spec_probe_private(0, 0x1000, AccessKind::Load), CacheLevel::L1);
-        assert_eq!(m.spec_probe_private(0, 0x8000, AccessKind::Load), CacheLevel::L2);
-        assert_eq!(m.spec_probe_private(0, 0x2000, AccessKind::Store), CacheLevel::L3);
-        assert_ne!(m.spec_private_checksum(0), sum, "probes must be observable");
-        m.rollback_spec_probe(0);
-
-        assert_eq!(m.spec_private_checksum(0), sum);
-        assert!(m.l2_cache(0).probe_prefetched(0x8000), "mark restored");
-        // The real demand path still behaves as if the probe never ran.
-        let r = m.access(0, 0x8000, AccessKind::Load, 5000);
-        assert!(r.prefetch_consumed);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! assert_eq!(r2.latency, cfg.l1d.latency); // now an L1 hit
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -53,7 +54,6 @@ pub mod noc;
 pub mod observer;
 pub mod stats;
 pub mod trace;
-mod weave;
 
 pub use crate::config::SimConfig;
 pub use crate::cycles::Cycle;

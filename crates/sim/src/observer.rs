@@ -13,10 +13,7 @@ use crate::hierarchy::MemoryHierarchy;
 
 /// Read-only view of simulated memory contents, used by indirect
 /// prefetchers to dereference pointer/index values.
-///
-/// `Sync` is a supertrait: the front-sharded executor shares the image by
-/// reference across front threads as the simulation spine migrates.
-pub trait MemoryImage: Sync {
+pub trait MemoryImage {
     /// Reads the 64-bit value at `addr`, if the address is backed by a
     /// modeled structure (e.g. a CSR edge record's destination id).
     fn read_u64(&self, addr: u64) -> Option<u64>;
@@ -34,10 +31,7 @@ pub struct HwPrefetchStats {
 }
 
 /// A table-based hardware prefetcher attached to each core's L2.
-///
-/// `Send` is a supertrait for the same reason as `MemoryImage: Sync` — the
-/// prefetcher rides the relayed simulation spine between front threads.
-pub trait HwPrefetcher: std::fmt::Debug + Send {
+pub trait HwPrefetcher: std::fmt::Debug {
     /// Prefetcher name for reports.
     fn name(&self) -> &'static str;
 

@@ -42,14 +42,12 @@ daemon options:
   --executors N     local simulation threads (default: host cores;
                     0 = serve only from the store and remote workers)
   --queue-cap N     admission-control cap on open jobs (default 64)
-  --point-threads N bound-weave threads per simulation (default 1)
   --out DIR         artifact + journal directory for sweep/explore ops
                     (default target/minnow-serve)
   --verbose         narrate requests to stderr
 
 worker options (with --worker ADDR; ADDR is a socket path or host:port):
   --name NAME       handshake name (default worker-<pid>)
-  --point-threads N bound-weave threads per simulation (default 1)
   --die-after N     fault injection: drop the connection, without
                     acknowledging, on receiving job N+1
   --verbose         narrate jobs to stderr
@@ -65,7 +63,6 @@ struct Args {
     store_cap_mb: u64,
     executors: Option<usize>,
     queue_cap: usize,
-    point_threads: usize,
     out: String,
     name: Option<String>,
     die_after: Option<usize>,
@@ -81,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
         store_cap_mb: 64,
         executors: None,
         queue_cap: 64,
-        point_threads: 1,
         out: "target/minnow-serve".into(),
         name: None,
         die_after: None,
@@ -99,9 +95,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--executors" => args.executors = Some(argv.parse::<u64>("--executors")? as usize),
             "--queue-cap" => args.queue_cap = argv.parse_at_least("--queue-cap", 1)? as usize,
-            "--point-threads" => {
-                args.point_threads = argv.parse_at_least("--point-threads", 1)? as usize
-            }
             "--out" => args.out = argv.value("--out")?,
             "--name" => args.name = Some(argv.value("--name")?),
             "--die-after" => args.die_after = Some(argv.parse::<u64>("--die-after")? as usize),
@@ -130,7 +123,6 @@ fn main() -> ExitCode {
         if let Some(name) = args.name {
             cfg.name = name;
         }
-        cfg.point_threads = args.point_threads;
         cfg.die_after = args.die_after;
         cfg.verbose = args.verbose;
         eprintln!("minnow-serve worker `{}` pulling from {}", cfg.name, cfg.addr);
@@ -154,7 +146,6 @@ fn main() -> ExitCode {
         cfg.local_executors = n;
     }
     cfg.queue_cap = args.queue_cap;
-    cfg.point_threads = args.point_threads;
     cfg.out_dir = PathBuf::from(&args.out);
     cfg.verbose = args.verbose;
 

@@ -18,6 +18,7 @@
 //!   memoization, bounded work queue, journal-protocol remote workers
 //!   (`minnow-serve`, `minnow-client`).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use minnow_algos as algos;

@@ -31,10 +31,6 @@ fn config(space: Space, strategy: Strategy, journal: PathBuf) -> ExploreConfig {
         strategy,
         seed: 42,
         pool_threads: 4,
-        point_threads: 1,
-        pin_point_threads: false,
-        front_shards: None,
-        speculate: None,
         max_fresh_evals: None,
         journal_path: journal,
         verbose: false,

@@ -21,10 +21,6 @@ fn artifact() -> (String, String) {
         strategy: Strategy::Grid,
         seed: 42,
         pool_threads: 4,
-        point_threads: 1,
-        pin_point_threads: false,
-        front_shards: None,
-        speculate: None,
         max_fresh_evals: None,
         journal_path: dir.join("smoke.journal.jsonl"),
         verbose: false,

@@ -35,11 +35,7 @@ fn served_sweep_is_byte_identical_cold_warm_and_across_restart() {
             threads: 1,
             filter: None,
             trace: false,
-            point_threads: 1,
             input: None,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
         },
     );
     let direct_jsonl = direct.jsonl();
@@ -102,10 +98,6 @@ fn search_survives_worker_death_with_a_byte_identical_frontier() {
         strategy,
         seed: 42,
         pool_threads: 2,
-        point_threads: 1,
-        pin_point_threads: false,
-        front_shards: None,
-        speculate: None,
         max_fresh_evals: None,
         journal_path: oracle_journal,
         verbose: false,

@@ -1,17 +1,13 @@
 //! Determinism contract of the parallel sweep engine: the JSON-lines
 //! artifact is byte-identical whether points run one at a time or fan
-//! out across a work-stealing pool, whether each point is simulated
-//! serially or in bound-weave mode (`--point-threads >= 2`), and
-//! identical across repeated runs.
+//! out across a work-stealing pool, and identical across repeated runs.
 //!
 //! The wall-clock speedup check at the bottom is gated on the machine's
 //! available parallelism (CI containers are often single-core; a 1-core
 //! box cannot show parallel speedup, but it *can* — and does — verify
 //! byte-identical output at any pool width).
 
-use minnow::bench::runner::{BenchRun, HwKind, SchedSpec};
 use minnow::bench::sweep::{run_sweep, Sweep, SweepConfig, SweepParams};
-use minnow::runtime::sim_exec::RunReport;
 
 fn tiny_params() -> SweepParams {
     SweepParams {
@@ -136,7 +132,7 @@ fn bench_document_schema_and_content() {
     let bench = result.bench_json();
 
     assert!(
-        bench.starts_with("{\"schema\":\"minnow-bench-wallclock/v1\""),
+        bench.starts_with("{\"schema\":\"minnow-bench-wallclock/v2\""),
         "bench document must lead with its schema tag: {bench}"
     );
     for field in [
@@ -157,11 +153,6 @@ fn bench_document_schema_and_content() {
         sweep.points.len(),
         "one wall_us measurement per point"
     );
-    assert_eq!(
-        bench.matches("\"pt_used\":").count(),
-        sweep.points.len(),
-        "one chosen-mode report per point"
-    );
     for point in &result.points {
         assert!(
             bench.contains(&format!("\"id\":\"{}\"", point.id)),
@@ -169,18 +160,10 @@ fn bench_document_schema_and_content() {
             point.id
         );
         // The simulated (stable) fields embedded in the bench document
-        // must agree with the canonical artifact. Every point reports
-        // the simulation mode it chose (`pt_used`: 1 = serial oracle,
-        // >1 = front shards + weave lanes) right after its id, followed
-        // by the front/lane split that budget divided into.
+        // must agree with the canonical artifact. Every point's wall time
+        // follows its id.
         assert!(
-            bench.contains(&format!(
-                "\"id\":\"{}\",\"pt_used\":{},\"pt_front_used\":{},\"pt_lane_used\":{},\"wall_us\":",
-                point.id,
-                point.report.point_threads_used,
-                point.report.front_threads_used,
-                point.report.lane_threads_used
-            )),
+            bench.contains(&format!("\"id\":\"{}\",\"wall_us\":", point.id)),
             "point {} entry malformed",
             point.id
         );
@@ -215,573 +198,6 @@ fn breakdown_rows_are_closed() {
             point.id
         );
     }
-}
-
-/// The bound-weave output contract: any `--point-threads` value yields
-/// byte-identical artifacts — JSONL, cycle-accounting breakdowns, and
-/// the human-readable table — not merely equal headline numbers.
-///
-/// The runs are pinned (`--pin-point-threads`): the smoke workloads sit
-/// below the adaptive-fallback threshold, so an unpinned run would
-/// silently take the serial path and prove nothing about the shards.
-#[test]
-fn point_threads_never_change_any_artifact() {
-    let sweep = Sweep::smoke(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for pt in [2, 4, 8] {
-        let woven = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(pt)
-                .with_pinned_point_threads(),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            woven.jsonl(),
-            "--point-threads {pt} must be byte-identical to serial simulation"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            woven.breakdown_jsonl(),
-            "--point-threads {pt} perturbed the cycle-accounting artifact"
-        );
-        assert_eq!(
-            serial.breakdown_table(),
-            woven.breakdown_table(),
-            "--point-threads {pt} perturbed the breakdown table"
-        );
-    }
-}
-
-/// Same contract over the full fig16 sweep (the golden figure): the
-/// artifact a 4-thread bound-weave run writes is the one the serial
-/// oracle writes, byte for byte, even with the across-point pool active.
-#[test]
-fn point_threads_never_change_fig16_artifacts() {
-    let sweep = Sweep::fig16(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    let woven = run_sweep(
-        &sweep,
-        &SweepConfig::serial()
-            .with_threads(2)
-            .with_point_threads(4)
-            .with_pinned_point_threads(),
-    );
-    assert_eq!(serial.jsonl(), woven.jsonl());
-    assert_eq!(serial.breakdown_jsonl(), woven.breakdown_jsonl());
-}
-
-/// The front+lane split contract: dividing a pinned `--point-threads`
-/// budget between front shards (simulated-core partitions relayed on
-/// the epoch min-clock) and weave lanes is invisible in every artifact.
-/// Every requested split — all-front (no lanes), all-default, and the
-/// mixtures between — matches the serial oracle byte for byte, and the
-/// per-point report accounts for the whole budget.
-#[test]
-fn front_shard_splits_never_change_any_artifact() {
-    let sweep = Sweep::smoke(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for (pt, front) in [(2, 1), (2, 2), (4, 1), (4, 2), (4, 4), (8, 4)] {
-        let split = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(pt)
-                .with_pinned_point_threads()
-                .with_front_shards(front),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            split.jsonl(),
-            "pt={pt} front={front} must be byte-identical to serial simulation"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            split.breakdown_jsonl(),
-            "pt={pt} front={front} perturbed the cycle-accounting artifact"
-        );
-        assert_eq!(
-            serial.breakdown_table(),
-            split.breakdown_table(),
-            "pt={pt} front={front} perturbed the breakdown table"
-        );
-        for point in &split.points {
-            let r = &point.report;
-            assert_eq!(
-                r.point_threads_used, pt,
-                "{}: a pinned budget must engage fully",
-                point.id
-            );
-            assert_eq!(
-                r.front_threads_used + r.lane_threads_used,
-                pt,
-                "{}: front {} + lanes {} must spend the whole pt={pt} budget",
-                point.id,
-                r.front_threads_used,
-                r.lane_threads_used
-            );
-            assert!(
-                r.front_threads_used >= 1,
-                "{}: at least one front shard always runs",
-                point.id
-            );
-        }
-    }
-}
-
-/// Same split contract over the golden fig16 sweep with the
-/// across-point pool active: the planner's front/lane division is an
-/// execution detail, never part of the simulated result.
-#[test]
-fn front_shard_splits_never_change_fig16_artifacts() {
-    let sweep = Sweep::fig16(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for front in [2, 4] {
-        let split = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_threads(2)
-                .with_point_threads(4)
-                .with_pinned_point_threads()
-                .with_front_shards(front),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            split.jsonl(),
-            "front={front} diverged from the serial oracle on fig16"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            split.breakdown_jsonl(),
-            "front={front} perturbed fig16 cycle accounting"
-        );
-    }
-}
-
-/// The speculative-overlap contract: with `--speculate on`, idle front
-/// shards pre-execute the private prefix of their next canonical task
-/// and the spine commits validated records — yet every artifact stays
-/// byte-identical to both the `--speculate off` relay and the serial
-/// oracle. Speculation is an execution detail, never part of the
-/// simulated result.
-#[test]
-fn speculation_never_changes_any_artifact() {
-    let sweep = Sweep::smoke(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for (pt, front) in [(2, 2), (4, 2), (4, 4)] {
-        let base = SweepConfig::serial()
-            .with_point_threads(pt)
-            .with_pinned_point_threads()
-            .with_front_shards(front);
-        let spec_on = run_sweep(&sweep, &base.clone().with_speculate(true));
-        let spec_off = run_sweep(&sweep, &base.with_speculate(false));
-        assert_eq!(
-            serial.jsonl(),
-            spec_on.jsonl(),
-            "pt={pt} front={front} speculate=on diverged from the serial oracle"
-        );
-        assert_eq!(
-            serial.jsonl(),
-            spec_off.jsonl(),
-            "pt={pt} front={front} speculate=off diverged from the serial oracle"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            spec_on.breakdown_jsonl(),
-            "pt={pt} front={front} speculation perturbed cycle accounting"
-        );
-        assert_eq!(
-            serial.breakdown_table(),
-            spec_on.breakdown_table(),
-            "pt={pt} front={front} speculation perturbed the breakdown table"
-        );
-        // The speculative drive replaces the baton relay outright, and
-        // the bench document says so: every consumed record either
-        // commits or rolls back (a speculation armed right as the point
-        // drains may go unconsumed, so attempts can exceed the sum),
-        // and a spec-off relay records no attempts at all.
-        for point in &spec_on.points {
-            let r = &point.report;
-            assert!(
-                r.spec_commits + r.spec_rollbacks <= r.spec_attempts,
-                "{}: consumed {} + {} speculations exceed the {} attempted",
-                point.id,
-                r.spec_commits,
-                r.spec_rollbacks,
-                r.spec_attempts
-            );
-        }
-        for point in &spec_off.points {
-            assert_eq!(
-                point.report.spec_attempts, 0,
-                "{}: a spec-off relay must never speculate",
-                point.id
-            );
-        }
-    }
-}
-
-/// Same speculation contract over the golden fig16 sweep with the
-/// across-point pool active, on vs off vs the serial oracle.
-#[test]
-fn speculation_never_changes_fig16_artifacts() {
-    let sweep = Sweep::fig16(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    let base = SweepConfig::serial()
-        .with_threads(2)
-        .with_point_threads(4)
-        .with_pinned_point_threads()
-        .with_front_shards(2);
-    let spec_on = run_sweep(&sweep, &base.clone().with_speculate(true));
-    let spec_off = run_sweep(&sweep, &base.with_speculate(false));
-    assert_eq!(
-        serial.jsonl(),
-        spec_on.jsonl(),
-        "speculation diverged from the serial oracle on fig16"
-    );
-    assert_eq!(serial.jsonl(), spec_off.jsonl());
-    assert_eq!(serial.breakdown_jsonl(), spec_on.breakdown_jsonl());
-    assert_eq!(serial.breakdown_jsonl(), spec_off.breakdown_jsonl());
-    // fig16's workloads are big enough that speculation actually fires
-    // somewhere; an all-zero attempt count would mean the toggle is
-    // dead wiring rather than a verified protocol.
-    let attempts: u64 = spec_on.points.iter().map(|p| p.report.spec_attempts).sum();
-    assert!(
-        attempts > 0,
-        "speculation never attempted a single task across fig16"
-    );
-}
-
-/// The full differential oracle under speculation: every workload
-/// crossed with every engine family must emit byte-identical artifacts
-/// with `--speculate on` against the pt=1 serial oracle, exactly like
-/// the non-speculative shard matrix above.
-#[test]
-fn speculation_matrix_is_byte_identical_for_every_workload_and_engine() {
-    use minnow::algos::WorkloadKind;
-    use minnow::bench::sweep::SweepPoint;
-
-    let mut points = Vec::new();
-    for kind in WorkloadKind::ALL {
-        let engines: [(&str, BenchRun); 3] = [
-            ("software", BenchRun::software_default(kind, 2)),
-            ("minnow", BenchRun::minnow(kind, 2)),
-            ("wdp", BenchRun::minnow_wdp(kind, 2)),
-        ];
-        for (engine, mut run) in engines {
-            run.scale = 0.02;
-            run.seed = 7;
-            points.push(SweepPoint {
-                id: format!("spec-matrix/{kind}/{engine}"),
-                run,
-            });
-        }
-    }
-    let sweep = Sweep {
-        name: "spec-matrix".into(),
-        points,
-    };
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for (pt, front) in [(2, 2), (4, 2)] {
-        let spec = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(pt)
-                .with_pinned_point_threads()
-                .with_front_shards(front)
-                .with_speculate(true),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            spec.jsonl(),
-            "pt={pt} front={front} speculation diverged on the engine matrix"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            spec.breakdown_jsonl(),
-            "pt={pt} front={front} speculation perturbed matrix cycle accounting"
-        );
-    }
-}
-
-/// Speculation on a file-loaded graph: the ingest path shares the same
-/// byte-identity contract as generated inputs.
-#[test]
-fn speculation_is_byte_identical_on_file_loaded_graphs() {
-    use minnow::bench::runner::InputSpec;
-
-    let dir = std::env::temp_dir().join(format!("minnow-spec-ingest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let text_path = dir.join("ring.el");
-    let mut text = String::new();
-    for u in 0..48u32 {
-        let prev = (u + 47) % 48;
-        let next = (u + 1) % 48;
-        text.push_str(&format!("{u} {}\n{u} {}\n", prev.min(next), prev.max(next)));
-    }
-    std::fs::write(&text_path, text).unwrap();
-
-    let sweep = Sweep::smoke(&tiny_params());
-    let serial = run_sweep(
-        &sweep,
-        &SweepConfig::serial().with_input(InputSpec::new(&text_path)),
-    );
-    for speculate in [true, false] {
-        let spec = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(2)
-                .with_pinned_point_threads()
-                .with_front_shards(2)
-                .with_speculate(speculate)
-                .with_input(InputSpec::new(&text_path)),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            spec.jsonl(),
-            "speculate={speculate} diverged on a file-loaded graph"
-        );
-        assert_eq!(serial.breakdown_jsonl(), spec.breakdown_jsonl());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Trace event streams are part of the determinism contract: traced
-/// points are pinned to the serial oracle (the weave refuses to engage
-/// under a tracer), so requesting `--point-threads` with `--trace-out`
-/// changes nothing — neither the trace document nor the artifacts.
-#[test]
-fn point_threads_never_change_trace_streams() {
-    let sweep = Sweep::smoke(&tiny_params());
-    let traced = run_sweep(&sweep, &SweepConfig::serial().with_trace());
-    let woven = run_sweep(
-        &sweep,
-        &SweepConfig::serial().with_trace().with_point_threads(4),
-    );
-    assert_eq!(
-        traced.chrome_trace_json(),
-        woven.chrome_trace_json(),
-        "point-threads perturbed the trace event stream"
-    );
-    assert_eq!(traced.jsonl(), woven.jsonl());
-    assert_eq!(traced.breakdown_jsonl(), woven.breakdown_jsonl());
-}
-
-/// Every field of a report that any artifact serializes, summarized for
-/// exact comparison across execution modes.
-fn fingerprint(r: &RunReport) -> String {
-    format!(
-        "makespan={} tasks={} instr={} timed_out={} l2_misses={} mem={} \
-         delinquent={} loads={} pf_fills={} pf_used={} supersteps={} \
-         breakdown={:?} idle={} drain={}",
-        r.makespan,
-        r.tasks,
-        r.instructions,
-        r.timed_out,
-        r.l2_misses,
-        r.mem_accesses,
-        r.delinquent_loads,
-        r.total_loads,
-        r.prefetch_fills,
-        r.prefetch_used,
-        r.supersteps,
-        r.breakdown,
-        r.accounting
-            .merged()
-            .get(minnow::sim::stats::CycleBin::Idle),
-        r.accounting
-            .merged()
-            .get(minnow::sim::stats::CycleBin::Drain),
-    )
-}
-
-/// Scheduler configurations the smoke sweep does not cover — the BSP
-/// engine (superstep-barrier epochs) and hardware-prefetcher runs
-/// (which stay serial by design) — must also be invariant under
-/// `point_threads`.
-#[test]
-fn point_threads_never_change_bsp_and_hw_reports() {
-    for sched in [
-        SchedSpec::Bsp(None),
-        SchedSpec::Bsp(Some(0)),
-        SchedSpec::MinnowWithHw(HwKind::Stride),
-        SchedSpec::MinnowWithHw(HwKind::Imp),
-    ] {
-        let mut run = BenchRun::new(minnow::algos::WorkloadKind::Bfs, 2, sched.clone());
-        run.scale = 0.03;
-        let serial = run.execute();
-        run.point_threads = 4;
-        run.pin_point_threads = true;
-        let woven = run.execute();
-        assert_eq!(
-            fingerprint(&serial),
-            fingerprint(&woven),
-            "{sched:?}: point_threads changed the report"
-        );
-    }
-}
-
-/// The full differential oracle for the sharded bound-weave: every
-/// workload crossed with every engine family — software worklist,
-/// Minnow offload, Minnow + WDP, BSP supersteps, and Minnow + hardware
-/// prefetcher — must emit byte-identical JSONL and cycle-accounting
-/// artifacts for every shard count in {2, 4, 8} against the pt=1
-/// serial oracle. Runs are pinned so the tiny matrix actually
-/// exercises the shards instead of the adaptive serial fallback.
-#[test]
-fn shard_matrix_is_byte_identical_for_every_workload_and_engine() {
-    use minnow::algos::WorkloadKind;
-    use minnow::bench::sweep::SweepPoint;
-
-    let mut points = Vec::new();
-    for kind in WorkloadKind::ALL {
-        let engines: [(&str, BenchRun); 5] = [
-            ("software", BenchRun::software_default(kind, 2)),
-            ("minnow", BenchRun::minnow(kind, 2)),
-            ("wdp", BenchRun::minnow_wdp(kind, 2)),
-            (
-                "bsp",
-                BenchRun::new(kind, 2, SchedSpec::Bsp(None)),
-            ),
-            (
-                "hw-pf",
-                BenchRun::new(kind, 2, SchedSpec::MinnowWithHw(HwKind::Stride)),
-            ),
-        ];
-        for (engine, mut run) in engines {
-            run.scale = 0.02;
-            run.seed = 7;
-            points.push(SweepPoint {
-                id: format!("matrix/{kind}/{engine}"),
-                run,
-            });
-        }
-    }
-    let sweep = Sweep {
-        name: "matrix".into(),
-        points,
-    };
-    assert_eq!(sweep.points.len(), WorkloadKind::ALL.len() * 5);
-
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    for pt in [2, 4, 8] {
-        let woven = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(pt)
-                .with_pinned_point_threads(),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            woven.jsonl(),
-            "pt={pt} diverged from the serial oracle on the engine matrix"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            woven.breakdown_jsonl(),
-            "pt={pt} perturbed cycle accounting on the engine matrix"
-        );
-    }
-    // The same oracle with the budget explicitly divided between front
-    // shards and weave lanes: every (budget, front) split leaves the
-    // full workload x engine matrix byte-identical too.
-    for (pt, front) in [(2, 2), (4, 2), (4, 4)] {
-        let split = run_sweep(
-            &sweep,
-            &SweepConfig::serial()
-                .with_point_threads(pt)
-                .with_pinned_point_threads()
-                .with_front_shards(front),
-        );
-        assert_eq!(
-            serial.jsonl(),
-            split.jsonl(),
-            "pt={pt} front={front} diverged from the serial oracle on the engine matrix"
-        );
-        assert_eq!(
-            serial.breakdown_jsonl(),
-            split.breakdown_jsonl(),
-            "pt={pt} front={front} perturbed cycle accounting on the engine matrix"
-        );
-    }
-}
-
-/// Adaptive serial fallback: a workload below the weave threshold run
-/// with `--point-threads 8` (unpinned) must select the serial path —
-/// reported as `pt_used: 1` in the wall-clock bench document — and
-/// produce byte-identical artifacts in comparable wall time. Pinning
-/// overrides the fallback and engages all eight shards, still
-/// bit-for-bit equal.
-#[test]
-fn small_workloads_fall_back_to_the_serial_path() {
-    use minnow::runtime::sim_exec::MIN_WEAVE_EDGES;
-
-    let sweep = Sweep::smoke(&tiny_params());
-    let serial = run_sweep(&sweep, &SweepConfig::serial());
-    let adaptive = run_sweep(&sweep, &SweepConfig::serial().with_point_threads(8));
-    assert_eq!(serial.jsonl(), adaptive.jsonl());
-    assert_eq!(serial.breakdown_jsonl(), adaptive.breakdown_jsonl());
-    // Every point chose the serial oracle, and says so in the bench
-    // document.
-    let bench = adaptive.bench_json();
-    assert_eq!(
-        bench.matches("\"pt_used\":1,").count(),
-        sweep.points.len(),
-        "every smoke point should fall back to serial: {bench}"
-    );
-    assert_eq!(
-        bench.matches("\"pt_front_used\":1,\"pt_lane_used\":0,").count(),
-        sweep.points.len(),
-        "serial fallback must report a 1-front/0-lane split: {bench}"
-    );
-    for point in &adaptive.points {
-        assert_eq!(
-            point.report.point_threads_used, 1,
-            "{}: below-threshold point should run serial",
-            point.id
-        );
-    }
-    // Identical code path, so comparable wall clock; the generous bound
-    // only guards against a pathological regression (e.g. spawning and
-    // tearing down idle shard threads per point).
-    let ratio =
-        adaptive.wall.as_secs_f64() / serial.wall.as_secs_f64().max(1e-9);
-    assert!(
-        ratio < 10.0,
-        "pt=8 fallback took {ratio:.1}x the serial wall time"
-    );
-
-    // Directly on one run: the fallback triggers below the threshold,
-    // and pinning overrides it without changing the simulated result.
-    let mut run = BenchRun::minnow(minnow::algos::WorkloadKind::Bfs, 2);
-    run.scale = 0.03;
-    run.point_threads = 8;
-    let fallback = run.execute();
-    assert_eq!(fallback.point_threads_used, 1);
-    assert_eq!(fallback.front_threads_used, 1);
-    assert_eq!(fallback.lane_threads_used, 0);
-    // A requested front split falls back along with the budget.
-    run.front_shards = Some(4);
-    let split_fallback = run.execute();
-    assert_eq!(split_fallback.point_threads_used, 1);
-    assert_eq!(split_fallback.front_threads_used, 1);
-    run.front_shards = None;
-    run.pin_point_threads = true;
-    let pinned = run.execute();
-    assert_eq!(pinned.point_threads_used, 8);
-    assert_eq!(
-        pinned.front_threads_used + pinned.lane_threads_used,
-        8,
-        "a pinned budget must be fully divided between front and lanes"
-    );
-    assert_eq!(fingerprint(&fallback), fingerprint(&pinned));
-    assert_eq!(fingerprint(&fallback), fingerprint(&split_fallback));
-    // The fixture must actually sit below the fallback threshold, or
-    // the assertions above test nothing.
-    let edges = minnow::algos::WorkloadKind::Bfs.input(0.03, run.seed).edges();
-    assert!(
-        edges < MIN_WEAVE_EDGES,
-        "smoke BFS graph grew past the weave threshold ({edges} edges)"
-    );
 }
 
 /// Ingested inputs honor the same determinism contract: sweeping a
@@ -851,26 +267,6 @@ fn ingested_inputs_are_byte_identical_across_text_image_and_mmap_paths() {
             .with_input(spec(&image_path, LoadMode::Auto)),
     );
     assert_eq!(from_text.jsonl(), pooled.jsonl());
-    // And so does the sharded bound-weave: a file-loaded graph simulated
-    // across 2 or 8 pinned shards — with or without an explicit
-    // front/lane split of that budget — matches the serial artifacts
-    // byte for byte.
-    for (pt, front) in [(2usize, None), (8, None), (2, Some(2)), (8, Some(4))] {
-        let mut cfg = SweepConfig::serial()
-            .with_point_threads(pt)
-            .with_pinned_point_threads()
-            .with_input(spec(&image_path, LoadMode::Auto));
-        if let Some(front) = front {
-            cfg = cfg.with_front_shards(front);
-        }
-        let woven = run_sweep(&sweep, &cfg);
-        assert_eq!(
-            from_text.jsonl(),
-            woven.jsonl(),
-            "pt={pt} front={front:?} diverged on a file-loaded graph"
-        );
-        assert_eq!(from_text.breakdown_jsonl(), woven.breakdown_jsonl());
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
