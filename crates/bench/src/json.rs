@@ -9,39 +9,70 @@
 
 use std::fmt::Write as _;
 
+/// Appends `s` to `out` escaped for a JSON string (without quotes).
+/// Runs of bytes that need no escape are copied as one slice.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `run..i` ends on a char
+        // boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
 /// Escapes a string for inclusion in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends an `f64` as a JSON value: fixed precision, `null` when not
+/// finite.
+fn number_into(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:.6}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Renders an `f64` as a JSON value: fixed precision, `null` when not
 /// finite.
 pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
 }
 
 /// A JSON object under construction; fields appear in insertion order.
-#[derive(Debug, Default)]
+/// The whole object, braces included, is built in one buffer.
+#[derive(Debug)]
 pub struct JsonObject {
-    fields: String,
+    out: String,
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        let mut out = String::with_capacity(64);
+        out.push('{');
+        JsonObject { out }
+    }
 }
 
 impl JsonObject {
@@ -51,37 +82,41 @@ impl JsonObject {
     }
 
     fn key(&mut self, key: &str) {
-        if !self.fields.is_empty() {
-            self.fields.push(',');
+        if self.out.len() > 1 {
+            self.out.push(',');
         }
-        let _ = write!(self.fields, "\"{}\":", escape(key));
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
     }
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        let _ = write!(self.fields, "\"{}\"", escape(value));
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
         self
     }
 
     /// Adds an unsigned integer field.
     pub fn u64(mut self, key: &str, value: u64) -> Self {
         self.key(key);
-        let _ = write!(self.fields, "{value}");
+        let _ = write!(self.out, "{value}");
         self
     }
 
     /// Adds a float field (fixed six-decimal formatting).
     pub fn f64(mut self, key: &str, value: f64) -> Self {
         self.key(key);
-        self.fields.push_str(&number(value));
+        number_into(&mut self.out, value);
         self
     }
 
     /// Adds a boolean field.
     pub fn bool(mut self, key: &str, value: bool) -> Self {
         self.key(key);
-        self.fields.push_str(if value { "true" } else { "false" });
+        self.out.push_str(if value { "true" } else { "false" });
         self
     }
 
@@ -90,9 +125,9 @@ impl JsonObject {
         self.key(key);
         match value {
             Some(v) => {
-                let _ = write!(self.fields, "{v}");
+                let _ = write!(self.out, "{v}");
             }
-            None => self.fields.push_str("null"),
+            None => self.out.push_str("null"),
         }
         self
     }
@@ -100,20 +135,28 @@ impl JsonObject {
     /// Adds a pre-rendered JSON value (nested object or array).
     pub fn raw(mut self, key: &str, value: &str) -> Self {
         self.key(key);
-        self.fields.push_str(value);
+        self.out.push_str(value);
         self
     }
 
     /// Finishes the object, returning its JSON text.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.fields)
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
     }
 }
 
 /// Renders pre-serialized values as a JSON array.
 pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let body: Vec<String> = items.into_iter().collect();
-    format!("[{}]", body.join(","))
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&item);
+    }
+    out.push(']');
+    out
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@ impl Json {
     /// Returns a byte-offset error message on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -155,6 +156,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -255,6 +257,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances to the next `"` or `\` (or the end of input).
+    fn skip_plain(&mut self) {
+        self.pos += self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(self.bytes.len() - self.pos);
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -289,14 +299,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 _ => {
+                    // Both run delimiters are ASCII, so a run slices
+                    // `text` on char boundaries.
                     let start = self.pos;
-                    while !matches!(self.peek()?, b'"' | b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| format!("invalid utf8: {e}"))?,
-                    );
+                    self.skip_plain();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -304,17 +311,29 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        // Fast path: a plain unsigned integer token that fits a u64.
+        let mut n: Option<u64> = Some(0);
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n
+                .and_then(|n| n.checked_mul(10))
+                .and_then(|n| n.checked_add(u64::from(b - b'0')));
+            self.pos += 1;
+        }
+        let ends_token = !matches!(
+            self.bytes.get(self.pos),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E')
+        );
+        if self.pos > start && ends_token {
+            if let Some(n) = n {
+                return Ok(Json::Int(n));
+            }
+        }
         while self.pos < self.bytes.len()
             && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = text.parse() {
-                return Ok(Json::Int(n));
-            }
-        }
+        let text = &self.text[start..self.pos];
         text.parse()
             .map(Json::Number)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -359,6 +378,11 @@ mod tests {
         // Integers still read as f64 when asked.
         assert_eq!(doc.f64_field("neg").unwrap(), -3.0);
         assert!(doc.u64_field("neg").is_err());
+        // One past u64::MAX, and far past it: numbers, not wrapped ints.
+        for big in ["18446744073709551616", "99999999999999999999"] {
+            let n = big.parse::<f64>().unwrap();
+            assert_eq!(Json::parse(big), Ok(Json::Number(n)), "{big}");
+        }
     }
 
     #[test]

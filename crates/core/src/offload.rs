@@ -606,4 +606,45 @@ mod tests {
         let (s2, _) = setup(1, MinnowConfig::no_prefetch(3));
         assert!(s2.label().contains("no-wdp"));
     }
+
+    /// Characterizes deviation 5 (EXPERIMENTS.md): a dequeue can report
+    /// empty while global tasks sit in the engine. The urgent refill
+    /// streams them *behind* an in-flight proactive batch in the FIFO
+    /// `incoming` queue, and `admit_incoming` stops at that later front
+    /// entry. Fixing this moves the golden tables, so the test pins the
+    /// current behaviour until a model change does.
+    #[test]
+    fn urgent_refill_behind_a_proactive_batch_reports_empty() {
+        let (mut s, mut mem) = setup(1, MinnowConfig::no_prefetch(0));
+        let threshold = EngineParams::paper().refill_threshold;
+        // Fill the local queue to the refill threshold, then spill 40
+        // equally urgent tasks: the spills keep the engine back-end busy
+        // far past `now`.
+        for node in 0..threshold + 40 {
+            s.enqueue(0, Task::new(0, node as u32), 0, &mut mem);
+        }
+        assert_eq!(s.engine(0).local_len(), threshold);
+        // The first pop starts a proactive refill behind the spills.
+        assert!(s.dequeue(0, 100, &mut mem).task.is_some());
+        let proactive_at = s.engine(0).next_incoming_at().expect("proactive batch");
+        for _ in 1..threshold {
+            assert!(s.dequeue(0, 100, &mut mem).task.is_some());
+        }
+        assert_eq!(s.engine(0).local_len(), 0);
+        // The local miss streams an urgent batch, which starts at `now`
+        // rather than behind the spills, but queues behind the proactive
+        // batch.
+        let empty = s.dequeue(0, 100, &mut mem);
+        assert!(empty.task.is_none(), "the engine reports empty");
+        assert_eq!(s.stats().empty_dequeues, 1);
+        assert!(
+            proactive_at > 100 + 40 * ENGINE_OP_WORK,
+            "queued behind the spills"
+        );
+        assert_eq!(s.engine(0).next_incoming_at(), Some(proactive_at));
+        assert_eq!(s.engine(0).incoming_len(), 32, "two streamed batches");
+        assert_eq!(s.pending(), 40, "every spilled task is still queued");
+        // Once the proactive batch lands, both batches drain.
+        assert!(s.dequeue(0, proactive_at, &mut mem).task.is_some());
+    }
 }

@@ -38,18 +38,20 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Writes the whole response, head and body, in one buffer, so the
+/// client never wakes on a head without its body.
 fn respond(stream: &mut TcpStream, status: u16, retry_after_ms: Option<u64>, body: &str) {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reason(status),
         body.len()
     );
     if let Some(ms) = retry_after_ms {
-        head.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)));
+        out.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)));
     }
-    head.push_str("Connection: close\r\n\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    out.push_str("Connection: close\r\n\r\n");
+    out.push_str(body);
+    let _ = stream.write_all(out.as_bytes());
     let _ = stream.flush();
 }
 
