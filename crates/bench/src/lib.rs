@@ -32,7 +32,7 @@ pub fn scale() -> f64 {
     std::env::var("MINNOW_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0.3)
+        .unwrap_or(sweep::SweepParams::DEFAULT.scale)
 }
 
 /// Headline thread count for speedup comparisons. The paper evaluates at
@@ -44,7 +44,7 @@ pub fn headline_threads() -> usize {
     std::env::var("MINNOW_BENCH_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
+        .unwrap_or(sweep::SweepParams::DEFAULT.headline_threads)
 }
 
 /// Maximum thread count for scalability sweeps (the paper's 64).
@@ -52,7 +52,7 @@ pub fn max_threads() -> usize {
     std::env::var("MINNOW_BENCH_MAX_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
+        .unwrap_or(sweep::SweepParams::DEFAULT.max_threads)
 }
 
 /// Generator seed.
@@ -60,7 +60,7 @@ pub fn seed() -> u64 {
     std::env::var("MINNOW_BENCH_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+        .unwrap_or(sweep::SweepParams::DEFAULT.seed)
 }
 
 /// Sweep-pool width: how many simulation points run concurrently

@@ -77,6 +77,16 @@ pub struct SweepParams {
 }
 
 impl SweepParams {
+    /// The fixed defaults: what [`SweepParams::from_env`] falls back to
+    /// for an unset variable, and what a served sweep request gets for a
+    /// field it omits.
+    pub const DEFAULT: SweepParams = SweepParams {
+        scale: 0.3,
+        seed: 42,
+        headline_threads: 16,
+        max_threads: 64,
+    };
+
     /// Reads the harness environment knobs.
     pub fn from_env() -> Self {
         SweepParams {

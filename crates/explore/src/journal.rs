@@ -14,7 +14,9 @@
 //! truncated final line — the footprint of a process killed mid-write —
 //! is tolerated and **repaired** (the torn bytes are truncated away, so
 //! a later append cannot fuse with them into an unparsable interior
-//! line); corruption anywhere else is an error.
+//! line); corruption anywhere else is an error. A cut inside a
+//! multi-byte character is a torn line like any other, and a file cut
+//! inside its header line holds no evaluations, so it starts over.
 //!
 //! # Open cost
 //!
@@ -239,9 +241,10 @@ fn canonical(path: &Path) -> PathBuf {
     std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf())
 }
 
-/// Pending filesystem repair discovered while parsing the tail.
+/// The repair an append-only JSONL file's final line needs before the
+/// next append (the journal's, and the `minnow-serve` result store's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Repair {
+pub enum Repair {
     /// The file ends on a line boundary; nothing to do.
     None,
     /// Torn unparsable tail: truncate the file to the durable length so
@@ -382,8 +385,8 @@ impl Journal {
             return Err(identity_error(&snap.header, expected));
         }
         file.seek(SeekFrom::Start(snap.valid_len))?;
-        let mut tail = String::new();
-        file.read_to_string(&mut tail)?;
+        let mut tail = Vec::new();
+        file.read_to_end(&mut tail)?;
         drop(file);
         let mut journal = Journal {
             path: path.to_path_buf(),
@@ -414,18 +417,14 @@ impl Journal {
 
     /// The cold path: read and parse the whole file.
     fn open_full(path: &Path, key: &Path, header: JournalHeader) -> Result<Journal, ExploreError> {
-        let text = std::fs::read_to_string(path)?;
-        let header_line = text
-            .split_inclusive('\n')
-            .next()
-            .ok_or_else(|| ExploreError::Journal("empty journal file".into()))?;
-        if !header_line.ends_with('\n') {
-            // A journal that died while writing its own header: treat as
-            // absent content rather than refusing to resume.
-            return Err(ExploreError::Journal(
-                "journal header line is truncated; delete the file to start over".into(),
-            ));
-        }
+        let bytes = std::fs::read(path)?;
+        let Some(header_len) = bytes.iter().position(|&b| b == b'\n').map(|nl| nl + 1) else {
+            // An empty file, or one whose writer died inside its own
+            // header line: it holds no evaluations, so start over.
+            return Journal::create(path, header);
+        };
+        let header_line = std::str::from_utf8(&bytes[..header_len])
+            .map_err(|e| ExploreError::Journal(format!("header: {e}")))?;
         let doc = Json::parse(header_line.trim_end())
             .map_err(|e| ExploreError::Journal(format!("header: {e}")))?;
         let found = JournalHeader::from_json(&doc).map_err(ExploreError::Journal)?;
@@ -439,10 +438,10 @@ impl Journal {
             cache: BTreeMap::new(),
             next_seq: 0,
             resumed: 0,
-            bytes_scanned: text.len() as u64,
+            bytes_scanned: bytes.len() as u64,
         };
-        let body = &text[header_line.len()..];
-        let (valid_len, lines, repair) = journal.ingest(body, header_line.len() as u64, 0)?;
+        let body = &bytes[header_len..];
+        let (valid_len, lines, repair) = journal.ingest(body, header_len as u64, 0)?;
         let valid_len = apply_repair(path, valid_len, repair)?;
         journal.resumed = journal.cache.len();
         let mut index = snapshots().lock().unwrap_or_else(|e| e.into_inner());
@@ -467,16 +466,20 @@ impl Journal {
     /// filesystem repair the tail needs.
     fn ingest(
         &mut self,
-        text: &str,
+        text: &[u8],
         base: u64,
         prior_lines: usize,
     ) -> Result<(u64, usize, Repair), ExploreError> {
         let mut valid_len = base;
         let mut lines = prior_lines;
-        for raw in text.split_inclusive('\n') {
-            let complete = raw.ends_with('\n');
-            let line = raw.trim_end();
-            if line.is_empty() {
+        for raw in text.split_inclusive(|&b| b == b'\n') {
+            let complete = raw.ends_with(b"\n");
+            // A cut inside a multi-byte character leaves invalid UTF-8:
+            // one more way for a line to fail to parse.
+            let line = std::str::from_utf8(raw)
+                .map(str::trim_end)
+                .map_err(|e| e.to_string());
+            if matches!(line, Ok("")) {
                 if complete {
                     valid_len += raw.len() as u64;
                     lines += 1;
@@ -485,7 +488,10 @@ impl Journal {
                 // a later append still starts a parseable line.
                 continue;
             }
-            match Json::parse(line).and_then(|doc| EvalRecord::from_json(&doc)) {
+            match line
+                .and_then(Json::parse)
+                .and_then(|doc| EvalRecord::from_json(&doc))
+            {
                 Ok(rec) => {
                     self.next_seq = self.next_seq.max(rec.seq + 1);
                     self.cache.insert((rec.id.clone(), rec.rung), rec);
@@ -588,7 +594,13 @@ impl Journal {
     }
 }
 
-fn apply_repair(path: &Path, valid_len: u64, repair: Repair) -> Result<u64, ExploreError> {
+/// Applies `repair` to the file at `path`, whose first `valid_len` bytes
+/// are whole lines, and returns the new durable length.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn apply_repair(path: &Path, valid_len: u64, repair: Repair) -> std::io::Result<u64> {
     match repair {
         Repair::None => Ok(valid_len),
         Repair::Truncate => {

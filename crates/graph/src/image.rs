@@ -379,6 +379,11 @@ pub(crate) fn assemble_image(
 /// Either way the section checksum and every CSR invariant are verified
 /// before the graph is returned.
 ///
+/// A mapped image must not shrink while the graph is alive: a page past a
+/// truncated end raises `SIGBUS` on access, which kills the process
+/// rather than returning an error. Load with [`LoadMode::Read`] when
+/// another process may rewrite the file.
+///
 /// # Errors
 ///
 /// Returns a structured [`ParseError`] for I/O failures, short/overlong

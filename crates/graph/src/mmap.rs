@@ -14,6 +14,10 @@ use std::io;
 /// The mapping is immutable (`PROT_READ`, `MAP_PRIVATE`) and unmapped on
 /// drop. Empty files cannot be mapped (`mmap` rejects zero-length maps);
 /// callers are expected to hold a header-sized minimum anyway.
+///
+/// The file must not be truncated while it is mapped: reading a page that
+/// no longer has file bytes behind it raises `SIGBUS`, which no caller
+/// can turn into an error.
 #[derive(Debug)]
 pub struct Mapping {
     ptr: *const u8,

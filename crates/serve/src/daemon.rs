@@ -292,7 +292,9 @@ impl Inner {
 
     fn op_sweep(self: &Arc<Inner>, doc: &Json) -> Result<String, String> {
         let name = doc.str_field("sweep")?.to_string();
-        let mut params = SweepParams::from_env();
+        // The request names the sweep: the daemon's own environment
+        // never fills a field the client left out.
+        let mut params = SweepParams::DEFAULT;
         if let Some(v) = doc.get("scale") {
             params.scale = v.as_f64().ok_or("non-numeric `scale`")?;
         }
@@ -855,6 +857,7 @@ mod tests {
     use crate::client::Client;
     use crate::net::SPIN;
     use minnow_algos::WorkloadKind;
+    use minnow_bench::eval::EvalReport;
     use std::time::Duration;
 
     /// A daemon with one executor on a fresh socket under a scratch dir.
@@ -915,6 +918,45 @@ mod tests {
         // for and answers another request.
         let doc = client.request("{\"op\":\"ping\"}").unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sweep_request_without_parameters_enumerates_the_fixed_defaults() {
+        let (daemon, _, dir) = daemon("defaults");
+        for name in ["fig15", "fig16"] {
+            // Store every expected point, so a request that enumerates
+            // them is answered without simulating anything.
+            let sweep = Sweep::named(name, &SweepParams::DEFAULT).unwrap();
+            let points: Vec<_> = sweep
+                .points
+                .iter()
+                .filter(|p| p.id.contains("/TC/"))
+                .collect();
+            let mut want = String::new();
+            for (i, point) in points.iter().enumerate() {
+                let report = EvalReport {
+                    makespan: 1 + i as u64,
+                    ..EvalReport::default()
+                };
+                let key = store_key(&format!("sweep/{name}"), &point.run).unwrap();
+                let stored = StoredEval {
+                    report: report.clone(),
+                    sim_wall_us: 1,
+                };
+                daemon.inner.store.insert(&key, &stored);
+                want.push_str(&point_record_json(name, &point.id, &point.run, &report));
+                want.push('\n');
+            }
+            let request = format!("{{\"op\":\"sweep\",\"sweep\":\"{name}\",\"filter\":\"/TC/\"}}");
+            let request = Json::parse(&request).unwrap();
+            let reply = Json::parse(&daemon.inner.handle_doc(&request).line).unwrap();
+            assert_eq!(reply.u64_field("fresh"), Ok(0), "{name}");
+            assert_eq!(reply.u64_field("points"), Ok(points.len() as u64), "{name}");
+            assert_eq!(reply.str_field("jsonl"), Ok(want.as_str()), "{name}");
+        }
+        daemon.trigger_shutdown();
+        daemon.join();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,10 +22,13 @@
 //! The store is size-capped with LRU eviction and persists itself as
 //! an append-only JSONL file (`minnow-serve-store/v1`): one line per
 //! insert, replayed in order on open (later lines win), compacted when
-//! the file accumulates more dead lines than live entries. Eviction is
-//! memory-only — an evicted entry whose line still sits in the file is
-//! resurrected on the next open, which is harmless for a cache (the cap
-//! is re-applied in replay order).
+//! the file accumulates more dead lines than live entries. A torn final
+//! line (a daemon killed mid-append, or a cut inside a multi-byte
+//! character) is truncated away on open, so the next insert starts a
+//! line of its own; a whole final line that lost only its newline gets
+//! it back. Eviction is memory-only — an evicted entry whose line still
+//! sits in the file is resurrected on the next open, which is harmless
+//! for a cache (the cap is re-applied in replay order).
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -38,6 +41,7 @@ use minnow_bench::eval::{run_to_json, EvalReport};
 use minnow_bench::json::JsonObject;
 use minnow_bench::json_read::Json;
 use minnow_bench::runner::BenchRun;
+use minnow_explore::journal::{apply_repair, Repair};
 
 use crate::stats::ServeStats;
 
@@ -172,14 +176,34 @@ impl Store {
         };
         let mut skipped = 0usize;
         if let Some(p) = &path {
-            match std::fs::read_to_string(p) {
-                Ok(text) => {
-                    for line in text.lines() {
-                        if line.trim().is_empty() {
-                            continue;
+            let io_err = |e: std::io::Error| format!("store {}: {e}", p.display());
+            // Bytes below `valid_len` are whole lines; `repair` readies
+            // the final line for the next append.
+            let (mut valid_len, mut repair) = (0u64, Repair::None);
+            match std::fs::read(p) {
+                Ok(bytes) => {
+                    for raw in bytes.split_inclusive(|&b| b == b'\n') {
+                        let parsed = match std::str::from_utf8(raw).map(str::trim) {
+                            Ok("") => None,
+                            Ok(line) => Some(Json::parse(line)),
+                            Err(e) => Some(Err(e.to_string())),
+                        };
+                        if !raw.ends_with(b"\n") {
+                            // The final line. A torn one (the daemon died
+                            // mid-append) is cut off so the next insert
+                            // starts a line of its own.
+                            if let Some(Ok(_)) = parsed {
+                                repair = Repair::AppendNewline;
+                            } else {
+                                repair = Repair::Truncate;
+                                skipped += usize::from(parsed.is_some());
+                                break;
+                            }
                         }
+                        valid_len += raw.len() as u64;
+                        let Some(parsed) = parsed else { continue };
                         inner.file_lines += 1;
-                        match Json::parse(line) {
+                        match parsed {
                             Ok(doc) if doc.get("schema").is_some() => {
                                 let schema = doc.str_field("schema").unwrap_or("?");
                                 if schema != STORE_SCHEMA {
@@ -195,14 +219,13 @@ impl Store {
                                 }
                                 Err(_) => skipped += 1,
                             },
-                            // A torn final line (daemon killed mid-append)
-                            // or isolated corruption: skip, keep serving.
+                            // Isolated corruption: skip, keep serving.
                             Err(_) => skipped += 1,
                         }
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(format!("store {}: {e}", p.display())),
+                Err(e) => return Err(io_err(e)),
             }
             if skipped > 0 {
                 eprintln!(
@@ -216,21 +239,22 @@ impl Store {
             if inner.file_lines > live.saturating_mul(2) + 16 {
                 compact(p, &inner)?;
                 inner.file_lines = live;
+            } else {
+                apply_repair(p, valid_len, repair).map_err(io_err)?;
             }
             if let Some(parent) = p.parent() {
                 if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| format!("store {}: {e}", p.display()))?;
+                    std::fs::create_dir_all(parent).map_err(io_err)?;
                 }
             }
             let mut file = OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(p)
-                .map_err(|e| format!("store {}: {e}", p.display()))?;
+                .map_err(io_err)?;
             if inner.file_lines == 0 {
                 let header = JsonObject::new().str("schema", STORE_SCHEMA).finish();
-                writeln!(file, "{header}").map_err(|e| format!("store {}: {e}", p.display()))?;
+                writeln!(file, "{header}").map_err(io_err)?;
                 inner.file_lines = 1;
             }
             inner.file = Some(file);
@@ -470,6 +494,33 @@ mod tests {
         drop(f);
         let salvaged = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
         assert_eq!(salvaged.len(), 2);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn an_insert_after_a_torn_tail_survives_the_next_open() {
+        let p = tmp("torn-then-insert.jsonl");
+        let _ = std::fs::remove_file(&p);
+        let stats = Arc::new(ServeStats::new());
+        {
+            let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
+            for (i, key) in ["a", "b", "c"].into_iter().enumerate() {
+                store.insert(key, &report(i as u64));
+            }
+        }
+        // Kill mid-append: the last 40 bytes of `c`'s line never landed.
+        let len = std::fs::metadata(&p).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&p).unwrap();
+        file.set_len(len - 40).unwrap();
+        drop(file);
+        {
+            let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
+            assert_eq!(store.len(), 2, "the torn insert is lost");
+            store.insert("d", &report(9));
+        }
+        let reopened = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(reopened.get("d").unwrap().report.makespan, 9);
         let _ = std::fs::remove_file(&p);
     }
 

@@ -21,6 +21,7 @@ use minnow::bench::cli::{write_with_parents, ArgStream};
 use minnow::bench::eval::run_to_json;
 use minnow::bench::json::JsonObject;
 use minnow::bench::runner::{BenchRun, SchedSpec};
+use minnow::bench::sweep::SweepParams;
 use minnow::serve::client::{request_ok, wait_ready};
 use minnow::serve::ServeAddr;
 
@@ -51,6 +52,7 @@ eval flags:
 
 sweep options:
   --scale F --seed N --headline-threads N --max-threads N
+                   defaults as in minnow-sweep; all four are sent
   --filter S       only points whose id contains S
   --out FILE       write the per-point JSONL artifact
   --breakdown FILE write the cycle-accounting JSONL artifact
@@ -245,20 +247,23 @@ fn str_opt(obj: JsonObject, key: &str, v: &Option<String>) -> JsonObject {
 
 fn cmd_sweep(addr: &ServeAddr, argv: &mut ArgStream) -> Result<ExitCode, String> {
     let mut name: Option<String> = None;
-    let mut scale: Option<f64> = None;
-    let mut seed: Option<u64> = None;
-    let mut headline: Option<u64> = None;
-    let mut max_threads: Option<u64> = None;
+    // Resolved as `minnow-sweep` resolves them, and all sent: the same
+    // command line names the same points direct or served.
+    let mut params = SweepParams::from_env();
     let mut filter: Option<String> = None;
     let mut out: Option<String> = None;
     let mut breakdown: Option<String> = None;
     let mut require_cached = false;
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--scale" => scale = Some(argv.parse("--scale")?),
-            "--seed" => seed = Some(argv.parse("--seed")?),
-            "--headline-threads" => headline = Some(argv.parse_at_least("--headline-threads", 1)?),
-            "--max-threads" => max_threads = Some(argv.parse_at_least("--max-threads", 1)?),
+            "--scale" => params.scale = argv.parse("--scale")?,
+            "--seed" => params.seed = argv.parse("--seed")?,
+            "--headline-threads" => {
+                params.headline_threads = argv.parse_at_least("--headline-threads", 1)? as usize
+            }
+            "--max-threads" => {
+                params.max_threads = argv.parse_at_least("--max-threads", 1)? as usize
+            }
             "--filter" => filter = Some(argv.value("--filter")?),
             "--out" => out = Some(argv.value("--out")?),
             "--breakdown" => breakdown = Some(argv.value("--breakdown")?),
@@ -268,20 +273,14 @@ fn cmd_sweep(addr: &ServeAddr, argv: &mut ArgStream) -> Result<ExitCode, String>
         }
     }
     let name = name.ok_or("missing sweep name")?;
-    let mut obj = JsonObject::new().str("op", "sweep").str("sweep", &name);
-    if let Some(v) = scale {
-        obj = obj.raw("scale", &format!("{v}"));
-    }
-    if let Some(v) = seed {
-        obj = obj.u64("seed", v);
-    }
-    if let Some(v) = headline {
-        obj = obj.u64("headline_threads", v);
-    }
-    if let Some(v) = max_threads {
-        obj = obj.u64("max_threads", v);
-    }
-    obj = str_opt(obj, "filter", &filter);
+    let obj = JsonObject::new()
+        .str("op", "sweep")
+        .str("sweep", &name)
+        .raw("scale", &format!("{}", params.scale))
+        .u64("seed", params.seed)
+        .u64("headline_threads", params.headline_threads as u64)
+        .u64("max_threads", params.max_threads as u64);
+    let obj = str_opt(obj, "filter", &filter);
     let doc = request_ok(addr, &obj.finish())?;
     let (points, cached, fresh) = (
         doc.u64_field("points")?,

@@ -41,8 +41,6 @@ struct Args {
     input_mode: Option<String>,
     trace_out: Option<String>,
     bench_out: Option<String>,
-    bench_baseline: Option<String>,
-    bench_baseline_line: usize,
 }
 
 const USAGE: &str = "\
@@ -79,14 +77,6 @@ options:
   --bench-out F   write a host wall-clock benchmark document to F
                   (per-point wall time, tasks/sec, accesses/sec);
                   simulation results and the JSONL artifact are unchanged
-  --bench-baseline F
-                  regression gate: read a prior --bench-out document
-                  from F and exit non-zero if this run's total wall_ms
-                  exceeds the baseline's by more than 25%
-  --bench-baseline-line N
-                  which line of the baseline file to gate against when
-                  it holds several benchmark documents (1-based,
-                  default 1)
   --list          list sweep names and point counts, then exit
 ";
 
@@ -106,8 +96,6 @@ fn parse_args() -> Result<Args, String> {
         input_mode: None,
         trace_out: None,
         bench_out: None,
-        bench_baseline: None,
-        bench_baseline_line: 1,
     };
     let mut argv = ArgStream::from_env();
     while let Some(flag) = argv.next() {
@@ -125,10 +113,6 @@ fn parse_args() -> Result<Args, String> {
             "--input-mode" => args.input_mode = Some(argv.value("--input-mode")?),
             "--trace-out" => args.trace_out = Some(argv.value("--trace-out")?),
             "--bench-out" => args.bench_out = Some(argv.value("--bench-out")?),
-            "--bench-baseline" => args.bench_baseline = Some(argv.value("--bench-baseline")?),
-            "--bench-baseline-line" => {
-                args.bench_baseline_line = argv.parse_at_least("--bench-baseline-line", 1)? as usize
-            }
             other if !other.starts_with('-') && args.sweep.is_none() => {
                 args.sweep = Some(other.to_string())
             }
@@ -338,56 +322,7 @@ fn main() -> ExitCode {
             String::new()
         }
     );
-
-    if let Some(path) = &args.bench_baseline {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: reading benchmark baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(line) = doc.lines().filter(|l| !l.trim().is_empty()).nth(args.bench_baseline_line - 1)
-        else {
-            eprintln!(
-                "error: benchmark baseline {path} has no line {}",
-                args.bench_baseline_line
-            );
-            return ExitCode::FAILURE;
-        };
-        let Some(baseline_ms) = baseline_wall_ms(line) else {
-            eprintln!(
-                "error: no \"wall_ms\" field on line {} of benchmark baseline {path}",
-                args.bench_baseline_line
-            );
-            return ExitCode::FAILURE;
-        };
-        let now_ms = result.wall.as_millis() as u64;
-        // >25% slower than the baseline fails the gate. Ratios are
-        // compared in integer arithmetic: now * 100 > baseline * 125.
-        if now_ms * 100 > baseline_ms * 125 {
-            eprintln!(
-                "error: wall-clock regression: {now_ms} ms vs baseline {baseline_ms} ms \
-                 (> +25%; baseline {path})"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bench gate: {now_ms} ms vs baseline {baseline_ms} ms (within +25%)");
-    }
     ExitCode::SUCCESS
-}
-
-/// Extracts the total `"wall_ms"` value from one `--bench-out` document.
-///
-/// The document is this binary's own fixed-order serialization
-/// (`minnow-bench-wallclock/v1` or `/v2`), whose first `"wall_ms"` key
-/// is the sweep total — per-point timings use `"wall_us"` — so a plain scan
-/// suffices and avoids a JSON-parser dependency.
-fn baseline_wall_ms(doc: &str) -> Option<u64> {
-    let at = doc.find("\"wall_ms\":")? + "\"wall_ms\":".len();
-    let rest = &doc[at..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 fn sweep_axes(name: &str) -> &'static str {

@@ -8,219 +8,10 @@
 use std::collections::BTreeMap;
 
 use minnow::algos::WorkloadKind;
+use minnow::bench::json_read::Json;
 use minnow::bench::runner::BenchRun;
 use minnow::bench::sweep::{run_sweep, Sweep, SweepConfig, SweepParams};
 use minnow::sim::trace::{chrome_trace_json, event_summary, TraceEvent, TracePhase, Tracer};
-
-// ---------------------------------------------------------------------
-// A minimal JSON value + recursive-descent parser, enough to validate
-// the exported documents without external crates.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> &[Json] {
-        match self {
-            Json::Array(items) => items,
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    fn as_str(&self) -> &str {
-        match self {
-            Json::String(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
-    }
-
-    fn as_u64(&self) -> u64 {
-        match self {
-            Json::Number(n) => *n as u64,
-            other => panic!("expected number, got {other:?}"),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Json {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value();
-        p.skip_ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing bytes after JSON value");
-        v
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> u8 {
-        self.bytes[self.pos]
-    }
-
-    fn expect(&mut self, b: u8) {
-        assert_eq!(
-            self.bytes[self.pos], b,
-            "expected {:?} at byte {}",
-            b as char, self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        self.skip_ws();
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::String(self.string()),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Json {
-        assert!(
-            self.bytes[self.pos..].starts_with(lit.as_bytes()),
-            "bad literal at byte {}",
-            self.pos
-        );
-        self.pos += lit.len();
-        value
-    }
-
-    fn object(&mut self) -> Json {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Object(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string();
-            self.skip_ws();
-            self.expect(b':');
-            fields.push((key, self.value()));
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Object(fields);
-                }
-                other => panic!("expected ',' or '}}', got {:?}", other as char),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Array(items);
-        }
-        loop {
-            items.push(self.value());
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Array(items);
-                }
-                other => panic!("expected ',' or ']', got {:?}", other as char),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                    .expect("utf8 hex escape");
-                            let code = u32::from_str_radix(hex, 16).expect("hex escape");
-                            out.push(char::from_u32(code).expect("scalar escape"));
-                            self.pos += 4;
-                        }
-                        other => panic!("unsupported escape \\{}", other as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let start = self.pos;
-                    while !matches!(self.bytes[self.pos], b'"' | b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 string"),
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 number");
-        Json::Number(text.parse().unwrap_or_else(|_| panic!("bad number {text:?}")))
-    }
-}
 
 // ---------------------------------------------------------------------
 // The traced workload every schema test shares: small, fixed seed.
@@ -277,37 +68,32 @@ fn events_use_the_pinned_vocabulary_and_sorted_timestamps() {
 #[test]
 fn chrome_export_parses_and_round_trips_the_events() {
     let (events, _) = traced_events();
-    let doc = Parser::parse(&chrome_trace_json(&events, 3));
+    let doc = Json::parse(&chrome_trace_json(&events, 3)).expect("export parses");
     assert_eq!(
-        doc.get("displayTimeUnit").map(Json::as_str),
-        Some("ns"),
+        doc.str_field("displayTimeUnit"),
+        Ok("ns"),
         "document must set a display unit"
     );
-    let exported = doc.get("traceEvents").expect("traceEvents array").as_array();
+    let exported = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array");
     assert_eq!(exported.len(), events.len());
     for (ev, json) in events.iter().zip(exported) {
-        assert_eq!(json.get("name").unwrap().as_str(), ev.name);
-        assert_eq!(json.get("cat").unwrap().as_str(), ev.cat);
-        assert_eq!(json.get("ph").unwrap().as_str(), ev.phase.code());
-        assert_eq!(json.get("ts").unwrap().as_u64(), ev.ts);
-        assert_eq!(json.get("pid").unwrap().as_u64(), 3);
-        assert_eq!(json.get("tid").unwrap().as_u64(), u64::from(ev.tid));
+        assert_eq!(json.str_field("name"), Ok(ev.name));
+        assert_eq!(json.str_field("cat"), Ok(ev.cat));
+        assert_eq!(json.str_field("ph"), Ok(ev.phase.code()));
+        assert_eq!(json.u64_field("ts"), Ok(ev.ts));
+        assert_eq!(json.u64_field("pid"), Ok(3));
+        assert_eq!(json.u64_field("tid"), Ok(u64::from(ev.tid)));
         match ev.phase {
-            TracePhase::Complete => {
-                assert_eq!(json.get("dur").unwrap().as_u64(), ev.dur);
-            }
-            TracePhase::Instant => {
-                assert_eq!(json.get("s").unwrap().as_str(), "t", "instant scope");
-            }
+            TracePhase::Complete => assert_eq!(json.u64_field("dur"), Ok(ev.dur)),
+            TracePhase::Instant => assert_eq!(json.str_field("s"), Ok("t"), "instant scope"),
             TracePhase::Counter => {}
         }
+        let args = json.get("args").expect("args object");
         for (key, value) in &ev.args {
-            assert_eq!(
-                json.get("args").unwrap().get(key).unwrap().as_u64(),
-                *value,
-                "arg {key} of {}",
-                ev.name
-            );
+            assert_eq!(args.u64_field(key), Ok(*value), "arg {key} of {}", ev.name);
         }
     }
 }
@@ -323,8 +109,11 @@ fn sweep_trace_doc_names_processes_and_orders_timestamps() {
     let sweep = Sweep::smoke(&params);
     let result = run_sweep(&sweep, &SweepConfig::serial().with_trace());
     let doc_text = result.chrome_trace_json().expect("tracing was on");
-    let doc = Parser::parse(&doc_text);
-    let events = doc.get("traceEvents").expect("traceEvents").as_array();
+    let doc = Json::parse(&doc_text).expect("trace document parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents");
     assert!(!events.is_empty());
 
     // Every sweep point gets a process_name metadata event, and within
@@ -332,10 +121,10 @@ fn sweep_trace_doc_names_processes_and_orders_timestamps() {
     let mut named_pids = Vec::new();
     let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in events {
-        let pid = ev.get("pid").unwrap().as_u64();
-        if ev.get("ph").unwrap().as_str() == "M" {
-            assert_eq!(ev.get("name").unwrap().as_str(), "process_name");
-            let label = ev.get("args").unwrap().get("name").unwrap().as_str();
+        let pid = ev.u64_field("pid").unwrap();
+        if ev.str_field("ph") == Ok("M") {
+            assert_eq!(ev.str_field("name"), Ok("process_name"));
+            let label = ev.get("args").unwrap().str_field("name").unwrap();
             assert!(
                 result.points.iter().any(|p| p.id == label),
                 "metadata names a sweep point: {label}"
@@ -343,7 +132,7 @@ fn sweep_trace_doc_names_processes_and_orders_timestamps() {
             named_pids.push(pid);
             continue;
         }
-        let ts = ev.get("ts").unwrap().as_u64();
+        let ts = ev.u64_field("ts").unwrap();
         let prev = last_ts.entry(pid).or_insert(0);
         assert!(*prev <= ts, "pid {pid}: timestamps must be monotonic");
         *prev = ts;
