@@ -10,7 +10,7 @@
 
 use crate::contend::GapTracker;
 use crate::cycles::Cycle;
-use crate::stats::{Counter, Distribution, Histogram};
+use crate::stats::{Counter, Histogram};
 
 /// Multi-channel DRAM with per-channel queueing.
 #[derive(Debug, Clone)]
@@ -19,7 +19,6 @@ pub struct Dram {
     service: Cycle,
     channels: Vec<GapTracker>,
     accesses: Counter,
-    queueing: Distribution,
     queue_hist: Histogram,
 }
 
@@ -42,7 +41,6 @@ impl Dram {
             service,
             channels: vec![GapTracker::new(); channels],
             accesses: Counter::new(),
-            queueing: Distribution::new(),
             queue_hist: Histogram::new(),
         }
     }
@@ -61,7 +59,6 @@ impl Dram {
         let ch = (h % self.channels.len() as u64) as usize;
         let start = self.channels[ch].reserve(now, self.service);
         let queued = start - now;
-        self.queueing.record(queued as f64);
         self.queue_hist.record(queued);
         self.base_latency + queued
     }
@@ -76,20 +73,10 @@ impl Dram {
         self.accesses.get()
     }
 
-    /// Queueing-delay distribution (cycles spent waiting for a channel).
-    pub fn queueing(&self) -> &Distribution {
-        &self.queueing
-    }
-
-    /// Log2-bucketed histogram of per-access queueing delays (exactly
-    /// mergeable across sweeps, unlike the running distribution).
+    /// Log2-bucketed histogram of per-access queueing delays (cycles
+    /// spent waiting for a channel; exactly mergeable across sweeps).
     pub fn queue_histogram(&self) -> &Histogram {
         &self.queue_hist
-    }
-
-    /// Mean achieved latency (base + mean queueing).
-    pub fn mean_latency(&self) -> f64 {
-        self.base_latency as f64 + self.queueing.mean()
     }
 }
 
@@ -137,12 +124,15 @@ mod tests {
     }
 
     #[test]
-    fn mean_latency_reflects_contention() {
+    fn queue_histogram_reflects_contention() {
         let mut d = Dram::new(1, 100, 50);
         for i in 0..10 {
             d.access(i, 0);
         }
-        assert!(d.mean_latency() > 100.0);
-        assert!(d.queueing().max().unwrap() >= 50.0 * 9.0 - 1.0);
+        // One channel, ten requests at once: waits of 0, 50, ..., 450.
+        let h = d.queue_histogram();
+        assert_eq!(h.count(), 10);
+        assert_eq!(h.sum(), 50 * 45);
+        assert_eq!(h.quantile_bound(1.0), Some(512));
     }
 }

@@ -214,7 +214,7 @@ impl MemoryHierarchy {
             }
             let mut latency = self.l1_latency;
             if write {
-                latency += self.ownership_cost(core, line, now);
+                latency += self.ownership_cost(core, line);
             }
             return AccessResult {
                 latency,
@@ -234,7 +234,7 @@ impl MemoryHierarchy {
                 latency = latency.max(self.hit_under_miss_stall(core, line, now));
             }
             if write {
-                latency += self.ownership_cost(core, line, now);
+                latency += self.ownership_cost(core, line);
             }
             return AccessResult {
                 latency,
@@ -250,7 +250,7 @@ impl MemoryHierarchy {
         self.directory_add_sharer(core, line);
         let mut latency = self.l2_latency + beyond_latency;
         if write {
-            latency += self.ownership_cost(core, line, now);
+            latency += self.ownership_cost(core, line);
         }
         AccessResult {
             latency,
@@ -323,7 +323,7 @@ impl MemoryHierarchy {
                 latency = latency.max(self.hit_under_miss_stall(core, line, now));
             }
             if write {
-                latency += self.ownership_cost(core, line, now);
+                latency += self.ownership_cost(core, line);
             }
             return AccessResult {
                 latency,
@@ -350,7 +350,7 @@ impl MemoryHierarchy {
         self.directory_add_sharer(core, line);
         let mut latency = self.l2_latency + beyond_latency;
         if write {
-            latency += self.ownership_cost(core, line, now);
+            latency += self.ownership_cost(core, line);
         }
         AccessResult {
             latency,
@@ -519,7 +519,7 @@ impl MemoryHierarchy {
 
     /// Write-ownership: invalidate other cores' private copies and charge a
     /// coherence round-trip when any existed.
-    fn ownership_cost(&mut self, core: usize, line: u64, now: Cycle) -> Cycle {
+    fn ownership_cost(&mut self, core: usize, line: u64) -> Cycle {
         let Some(mask) = self.directory.get_mut(line) else {
             self.directory.insert(line, 1u64 << core);
             return 0;
@@ -550,7 +550,6 @@ impl MemoryHierarchy {
             } else {
                 cost += 2;
             }
-            let _ = now;
         }
         cost
     }

@@ -2,13 +2,14 @@
 //! X-Y routing, 3 cycles/hop).
 //!
 //! Packets are routed dimension-ordered (X first, then Y). Every directed
-//! link keeps a `next_free` virtual time; a packet crossing a busy link waits
+//! link keeps an occupancy timeline; a packet crossing a busy link waits
 //! for it, which yields emergent congestion when many cores hammer the same
-//! L3 bank or memory controller.
+//! L3 bank or memory controller. Tile coordinates are precomputed, so a
+//! route is two strided runs of link indices with no division.
 
 use crate::contend::GapTracker;
 use crate::cycles::Cycle;
-use crate::stats::{Counter, Distribution, Histogram};
+use crate::stats::{Counter, Histogram};
 
 /// A tile coordinate on the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,23 +26,21 @@ pub struct Noc {
     width: usize,
     hop_cycles: Cycle,
     link_bytes: usize,
-    /// Per-link occupancy timelines, indexed by `link_index`; 4
-    /// directions/tile. Gap-filling tolerates out-of-order request times.
+    /// Coordinates of every tile id, row-major.
+    tiles: Vec<Tile>,
+    /// Per-link occupancy timelines, indexed `tile * 4 + direction`
+    /// (east, west, north, south). Gap-filling tolerates out-of-order
+    /// request times.
     links: Vec<GapTracker>,
     packets: Counter,
     total_hops: Counter,
-    queueing: Distribution,
     queue_hist: Histogram,
 }
 
-/// Direction of a directed mesh link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    East,
-    West,
-    North,
-    South,
-}
+const EAST: usize = 0;
+const WEST: usize = 1;
+const NORTH: usize = 2;
+const SOUTH: usize = 3;
 
 impl Noc {
     /// Creates an idle `width x width` mesh.
@@ -57,10 +56,15 @@ impl Noc {
             width,
             hop_cycles,
             link_bytes,
+            tiles: (0..width * width)
+                .map(|id| Tile {
+                    x: id % width,
+                    y: id / width,
+                })
+                .collect(),
             links: vec![GapTracker::new(); width * width * 4],
             packets: Counter::new(),
             total_hops: Counter::new(),
-            queueing: Distribution::new(),
             queue_hist: Histogram::new(),
         }
     }
@@ -70,22 +74,13 @@ impl Noc {
         self.width
     }
 
-    /// Maps a flat tile id (core id) to mesh coordinates, row-major.
+    /// Maps a flat tile id (core id) to mesh coordinates, row-major; ids
+    /// past the last tile wrap around.
     pub fn tile_of(&self, id: usize) -> Tile {
-        Tile {
-            x: id % self.width,
-            y: (id / self.width) % self.width,
+        match self.tiles.get(id) {
+            Some(&tile) => tile,
+            None => self.tiles[id % self.tiles.len()],
         }
-    }
-
-    fn link_index(&self, tile: Tile, dir: Dir) -> usize {
-        let d = match dir {
-            Dir::East => 0,
-            Dir::West => 1,
-            Dir::North => 2,
-            Dir::South => 3,
-        };
-        (tile.y * self.width + tile.x) * 4 + d
     }
 
     /// Routes a `bytes`-byte packet from tile `src` to tile `dst` starting at
@@ -95,42 +90,41 @@ impl Noc {
     /// stop), matching ZSim-style models.
     pub fn route(&mut self, src: usize, dst: usize, bytes: usize, now: Cycle) -> Cycle {
         self.packets.inc();
-        let mut at = now;
-        let mut cur = self.tile_of(src);
-        let dest = self.tile_of(dst);
+        let a = self.tile_of(src);
+        let b = self.tile_of(dst);
         // Serialization: a packet occupies each link for ceil(bytes/link_bytes).
         let occupancy = (bytes.max(1)).div_ceil(self.link_bytes) as Cycle;
-        let mut hops: u64 = 0;
+        // X leg along row `a.y`, then Y leg along column `b.x`: link
+        // indices step by one tile (4) or one row (4 * width).
+        let row = 4 * self.width;
+        let (x_first, x_step) = if a.x < b.x {
+            ((a.y * self.width + a.x) * 4 + EAST, 4)
+        } else {
+            ((a.y * self.width + a.x) * 4 + WEST, 4usize.wrapping_neg())
+        };
+        let (y_first, y_step) = if a.y < b.y {
+            ((a.y * self.width + b.x) * 4 + SOUTH, row)
+        } else {
+            ((a.y * self.width + b.x) * 4 + NORTH, row.wrapping_neg())
+        };
+        let x_hops = a.x.abs_diff(b.x);
+        let y_hops = a.y.abs_diff(b.y);
+        let mut at = now;
         let mut queued: Cycle = 0;
-
-        while cur != dest {
-            let dir = if cur.x < dest.x {
-                Dir::East
-            } else if cur.x > dest.x {
-                Dir::West
-            } else if cur.y < dest.y {
-                Dir::South
-            } else {
-                Dir::North
-            };
-            let idx = self.link_index(cur, dir);
-            let start = self.links[idx].reserve(at, occupancy);
-            queued += start - at;
-            at = start + self.hop_cycles;
-            hops += 1;
-            cur = match dir {
-                Dir::East => Tile { x: cur.x + 1, ..cur },
-                Dir::West => Tile { x: cur.x - 1, ..cur },
-                Dir::South => Tile { y: cur.y + 1, ..cur },
-                Dir::North => Tile { y: cur.y - 1, ..cur },
-            };
+        for (first, step, hops) in [(x_first, x_step, x_hops), (y_first, y_step, y_hops)] {
+            let mut idx = first;
+            for _ in 0..hops {
+                let start = self.links[idx].reserve(at, occupancy);
+                queued += start - at;
+                at = start + self.hop_cycles;
+                idx = idx.wrapping_add(step);
+            }
         }
+        let hops = x_hops + y_hops;
         if hops == 0 {
             at += self.hop_cycles;
-            hops = 1;
         }
-        self.total_hops.add(hops);
-        self.queueing.record(queued as f64);
+        self.total_hops.add(hops.max(1) as u64);
         self.queue_hist.record(queued);
         at - now
     }
@@ -155,11 +149,6 @@ impl Noc {
         } else {
             self.total_hops.get() as f64 / self.packets.get() as f64
         }
-    }
-
-    /// Queueing-delay distribution across routed packets.
-    pub fn queueing(&self) -> &Distribution {
-        &self.queueing
     }
 
     /// Log2-bucketed histogram of per-packet link-queueing delays
@@ -218,7 +207,7 @@ mod tests {
         noc.route(0, 5, 64, 100);
         assert_eq!(noc.packets(), 2);
         assert!(noc.mean_hops() > 0.0);
-        assert_eq!(noc.queueing().count(), 2);
+        assert_eq!(noc.queue_histogram().count(), 2);
     }
 
     #[test]
@@ -228,5 +217,6 @@ mod tests {
         assert_eq!(noc.tile_of(7), Tile { x: 7, y: 0 });
         assert_eq!(noc.tile_of(8), Tile { x: 0, y: 1 });
         assert_eq!(noc.tile_of(63), Tile { x: 7, y: 7 });
+        assert_eq!(noc.tile_of(64 + 9), Tile { x: 1, y: 1 });
     }
 }

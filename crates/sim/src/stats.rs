@@ -1,8 +1,7 @@
-//! Statistics primitives shared by all models: counters, running
-//! distributions, log2-bucketed histograms with exact merge, a labeled
-//! metrics registry, and the *closed* per-core cycle-accounting bins
-//! behind the Fig. 5 breakdown (every simulated cycle lands in exactly
-//! one bin).
+//! Statistics primitives shared by all models: counters, log2-bucketed
+//! histograms with exact merge, a labeled metrics registry, and the
+//! *closed* per-core cycle-accounting bins behind the Fig. 5 breakdown
+//! (every simulated cycle lands in exactly one bin).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,97 +45,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Running statistics over a stream of samples: count, sum, min, max, mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Distribution {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// An empty distribution. The extremes start at ±∞ (not 0.0) so the
-/// first recorded sample becomes both min and max; a derived `Default`
-/// would zero them and silently corrupt `min()` for positive streams.
-impl Default for Distribution {
-    fn default() -> Self {
-        Distribution {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Distribution {
-    /// Creates an empty distribution (same state as [`Default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another distribution into this one.
-    pub fn merge(&mut self, other: &Distribution) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-}
-
-impl fmt::Display for Distribution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.count == 0 {
-            write!(f, "n=0")
-        } else {
-            write!(
-                f,
-                "n={} mean={:.2} min={:.2} max={:.2}",
-                self.count, self.mean(), self.min, self.max
-            )
-        }
     }
 }
 
@@ -572,55 +480,6 @@ mod tests {
         c.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(format!("{c}"), "0");
-    }
-
-    #[test]
-    fn distribution_tracks_extremes_and_mean() {
-        let mut d = Distribution::new();
-        assert_eq!(d.mean(), 0.0);
-        assert_eq!(d.min(), None);
-        for x in [2.0, 4.0, 6.0] {
-            d.record(x);
-        }
-        assert_eq!(d.count(), 3);
-        assert!((d.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(d.min(), Some(2.0));
-        assert_eq!(d.max(), Some(6.0));
-    }
-
-    #[test]
-    fn distribution_merge() {
-        let mut a = Distribution::new();
-        a.record(1.0);
-        let mut b = Distribution::new();
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(9.0));
-        let empty = Distribution::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn distribution_display_nonempty() {
-        let mut d = Distribution::new();
-        assert_eq!(format!("{d}"), "n=0");
-        d.record(3.0);
-        assert!(format!("{d}").contains("n=1"));
-    }
-
-    /// Regression: a derived `Default` would start min/max at 0.0, so a
-    /// first sample of 5.0 reported min=0.0. `Default` must match
-    /// `new()` (±∞ extremes) bit for bit.
-    #[test]
-    fn distribution_default_matches_new() {
-        let mut d = Distribution::default();
-        d.record(5.0);
-        assert_eq!(d.min(), Some(5.0));
-        assert_eq!(d.max(), Some(5.0));
-        assert_eq!(Distribution::default(), Distribution::new());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use minnow_bench::cli::{write_with_parents, ArgStream};
 use minnow_bench::json::JsonObject;
+use minnow_bench::sweep::host_fingerprint;
 use minnow_graph::gen::rmat::{self, RmatConfig};
 use minnow_graph::ingest::{ingest_file_to_image, IngestOptions};
 use minnow_graph::io::GraphSource;
@@ -190,28 +191,6 @@ fn generate(cfg: &RmatConfig, seed: u64, out: &Path) -> std::io::Result<u64> {
     }
     w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok(written)
-}
-
-/// The host a throughput figure was measured on, as a JSON object: the
-/// parallelism the process sees and the CPU model from `/proc/cpuinfo`
-/// (`unknown` where that file is missing).
-fn host_fingerprint() -> String {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .and_then(|rest| rest.split_once(':'))
-                .map(|(_, name)| name.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    JsonObject::new()
-        .u64(
-            "available_parallelism",
-            std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-        )
-        .str("cpu_model", &cpu_model)
-        .finish()
 }
 
 fn main() -> ExitCode {
