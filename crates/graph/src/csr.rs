@@ -179,11 +179,26 @@ impl Csr {
             },
             sorted,
         };
-        g.validate()?;
-        if sorted {
-            g.check_sorted()?;
-        }
+        g.check(sorted)?;
         Ok(g)
+    }
+
+    /// Wraps sections the caller has already passed through a [`Check`]
+    /// whose claim was `sorted`.
+    pub(crate) fn from_checked_parts(
+        row_ptr: Vec<u64>,
+        col: Vec<NodeId>,
+        weights: Vec<u32>,
+        sorted: bool,
+    ) -> Csr {
+        Csr {
+            store: Store::Owned {
+                row_ptr,
+                col,
+                weights,
+            },
+            sorted,
+        }
     }
 
     /// Assembles a CSR over byte ranges of a shared file mapping — the
@@ -229,10 +244,7 @@ impl Csr {
             }),
             sorted,
         };
-        g.validate()?;
-        if sorted {
-            g.check_sorted()?;
-        }
+        g.check(sorted)?;
         Ok(g)
     }
 
@@ -453,43 +465,125 @@ impl Csr {
     /// Validates the CSR invariants, returning a description of the first
     /// violation. Used by property tests and the generator test-suite.
     pub fn validate(&self) -> Result<(), String> {
-        let row_ptr = self.row_ptr();
-        let col = self.col();
-        let weights = self.weights();
-        if row_ptr.is_empty() {
-            return Err("row_ptr must have at least one entry".into());
-        }
-        if row_ptr[0] != 0 {
-            return Err("row_ptr must start at 0".into());
-        }
-        if *row_ptr.last().unwrap() != col.len() as u64 {
-            return Err("row_ptr must end at edge count".into());
-        }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err("row_ptr must be non-decreasing".into());
-        }
-        let n = self.nodes() as NodeId;
-        if let Some(bad) = col.iter().find(|&&c| c >= n) {
-            return Err(format!("column {bad} out of range (n={n})"));
-        }
-        if !weights.is_empty() && weights.len() != col.len() {
-            return Err("weights length must match edges".into());
-        }
-        Ok(())
+        self.check(false)
     }
 
-    /// Checks that every adjacency list really is ascending (the claim the
-    /// `sorted` flag makes).
-    fn check_sorted(&self) -> Result<(), String> {
-        let row_ptr = self.row_ptr();
-        let col = self.col();
-        for v in 0..self.nodes() {
-            let r = row_ptr[v] as usize..row_ptr[v + 1] as usize;
-            if col[r].windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("adjacency of node {v} is not sorted"));
-            }
+    /// [`Csr::validate`], plus, when `sorted` is claimed, that every
+    /// adjacency list really is ascending, in one pass over `col`.
+    fn check(&self, sorted: bool) -> Result<(), String> {
+        let mut check = Check::new(self.row_ptr(), self.edges(), sorted);
+        check.feed(self.col());
+        check.finish(self.weights().len())
+    }
+}
+
+/// The CSR invariant checks, made in one pass over `col`, which may arrive
+/// in consecutive pieces.
+///
+/// Faults are reported in a fixed order whatever order the pass meets
+/// them in: `row_ptr` faults, then the first out-of-range column, then a
+/// weights length that does not match, then the first node whose
+/// adjacency is not ascending (checked only when `sorted` is claimed).
+pub(crate) struct Check<'a> {
+    row_ptr: &'a [u64],
+    /// Node count, as the column bound.
+    n: NodeId,
+    sorted: bool,
+    /// The first `row_ptr` or column fault; stops the pass.
+    fault: Option<String>,
+    /// The first node whose adjacency descends somewhere.
+    unsorted: Option<usize>,
+    /// Index in `col` of the next entry fed.
+    at: usize,
+    /// The node owning entry `at`, and where its row ends.
+    node: usize,
+    row_end: usize,
+    /// The last entry fed in the current row (0 at a row's start).
+    prev: NodeId,
+}
+
+impl<'a> Check<'a> {
+    /// Checks `row_ptr` against an edge count of `edges`; the columns
+    /// follow through [`Check::feed`].
+    pub(crate) fn new(row_ptr: &'a [u64], edges: usize, sorted: bool) -> Check<'a> {
+        let fault = if row_ptr.is_empty() {
+            Some("row_ptr must have at least one entry")
+        } else if row_ptr[0] != 0 {
+            Some("row_ptr must start at 0")
+        } else if row_ptr[row_ptr.len() - 1] != edges as u64 {
+            Some("row_ptr must end at edge count")
+        } else if row_ptr.windows(2).any(|w| w[0] > w[1]) {
+            Some("row_ptr must be non-decreasing")
+        } else {
+            None
+        };
+        Check {
+            row_ptr,
+            n: row_ptr.len().saturating_sub(1) as NodeId,
+            sorted,
+            fault: fault.map(String::from),
+            unsorted: None,
+            at: 0,
+            node: 0,
+            // Every entry is at most `edges` once `row_ptr` checks out.
+            row_end: row_ptr.get(1).map_or(0, |&end| end as usize),
+            prev: 0,
         }
-        Ok(())
+    }
+
+    /// Checks the next piece of `col`.
+    pub(crate) fn feed(&mut self, col: &[NodeId]) {
+        if self.fault.is_some() {
+            return;
+        }
+        let n = self.n;
+        if !self.sorted {
+            if let Some(bad) = col.iter().find(|&&c| c >= n) {
+                self.fault = Some(format!("column {bad} out of range (n={n})"));
+            }
+            return;
+        }
+        let mut rest = col;
+        while !rest.is_empty() {
+            // Entries remain, so `at` is below the last row end and the
+            // node owning it exists.
+            while self.row_end <= self.at {
+                self.node += 1;
+                self.row_end = self.row_ptr[self.node + 1] as usize;
+                self.prev = 0;
+            }
+            let (row, tail) = rest.split_at((self.row_end - self.at).min(rest.len()));
+            let mut prev = self.prev;
+            let mut descends = false;
+            for &c in row {
+                if c >= n {
+                    self.fault = Some(format!("column {c} out of range (n={n})"));
+                    return;
+                }
+                descends |= c < prev;
+                prev = c;
+            }
+            if descends && self.unsorted.is_none() {
+                self.unsorted = Some(self.node);
+            }
+            self.prev = prev;
+            self.at += row.len();
+            rest = tail;
+        }
+    }
+
+    /// The first fault, given the weights section's length.
+    pub(crate) fn finish(self, weights: usize) -> Result<(), String> {
+        if let Some(fault) = self.fault {
+            return Err(fault);
+        }
+        if weights != 0 && weights as u64 != self.row_ptr[self.row_ptr.len() - 1] {
+            return Err("weights length must match edges".into());
+        }
+        match self.unsorted {
+            Some(v) => Err(format!("adjacency of node {v} is not sorted")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -626,6 +720,57 @@ mod tests {
         assert!(Csr::from_parts(vec![0, 2, 2], vec![1, 0], vec![], true).is_err());
         // The same adjacency without the claim is fine.
         assert!(Csr::from_parts(vec![0, 2, 2], vec![1, 0], vec![], false).is_ok());
+    }
+
+    #[test]
+    fn check_reports_faults_in_a_fixed_order_in_any_pieces() {
+        // Node 0's row descends before node 2's column 7 is out of range;
+        // the range fault still wins, and the weights length comes between.
+        let row_ptr = [0u64, 2, 2, 4];
+        // (col, weights length, sorted claim, the fault reported)
+        type Case = (&'static [NodeId], usize, bool, Result<(), &'static str>);
+        let cases: [Case; 6] = [
+            (&[2, 1, 0, 7], 0, true, Err("column 7 out of range (n=3)")),
+            (
+                &[2, 1, 0, 1],
+                3,
+                true,
+                Err("weights length must match edges"),
+            ),
+            (
+                &[2, 1, 0, 1],
+                0,
+                true,
+                Err("adjacency of node 0 is not sorted"),
+            ),
+            (
+                &[1, 2, 1, 0],
+                4,
+                true,
+                Err("adjacency of node 2 is not sorted"),
+            ),
+            (&[2, 1, 0, 1], 0, false, Ok(())),
+            (&[1, 2, 0, 1], 4, true, Ok(())),
+        ];
+        for (col, weights, sorted, want) in cases {
+            for split in 0..=col.len() {
+                let mut check = Check::new(&row_ptr, col.len(), sorted);
+                check.feed(&col[..split]);
+                check.feed(&col[split..]);
+                let got = check.finish(weights);
+                assert_eq!(
+                    got.as_ref().map_err(String::as_str),
+                    want.as_ref().map_err(|e| *e),
+                    "{col:?} at {split}"
+                );
+            }
+        }
+        let mut check = Check::new(&[0, 3], 2, true);
+        check.feed(&[0, 0]);
+        assert_eq!(
+            check.finish(0),
+            Err("row_ptr must end at edge count".into())
+        );
     }
 
     #[test]

@@ -61,25 +61,48 @@ impl RmatConfig {
 pub fn for_each_edge(cfg: &RmatConfig, seed: u64, mut f: impl FnMut(NodeId, NodeId)) {
     let mut r = rng(seed);
     let m = cfg.nodes() * cfg.edge_factor;
+    let thresholds = Thresholds::of(cfg);
     for _ in 0..m {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..cfg.scale {
-            let x: f64 = r.gen();
-            let (du, dv) = if x < cfg.a {
-                (0, 0)
-            } else if x < cfg.a + cfg.b {
-                (0, 1)
-            } else if x < cfg.a + cfg.b + cfg.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (du, dv) = thresholds.quadrant(r.gen());
             u = (u << 1) | du;
             v = (v << 1) | dv;
         }
         if u != v {
             f(u as NodeId, v as NodeId);
         }
+    }
+}
+
+/// The cumulative partition bounds `a`, `a + b` and `a + b + c`, summed
+/// in that order.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    a: f64,
+    ab: f64,
+    abc: f64,
+}
+
+impl Thresholds {
+    fn of(cfg: &RmatConfig) -> Thresholds {
+        Thresholds {
+            a: cfg.a,
+            ab: cfg.a + cfg.b,
+            abc: cfg.a + cfg.b + cfg.c,
+        }
+    }
+
+    /// The `(row, column)` bits of the quadrant a draw `x` picks: top-left
+    /// below `a`, else top-right below `a + b`, else bottom-left below
+    /// `a + b + c`, else bottom-right. Computed from all three comparisons
+    /// at once with that precedence, so no level costs a mispredicted
+    /// branch.
+    fn quadrant(self, x: f64) -> (usize, usize) {
+        let (p, q, r) = (x < self.a, x < self.ab, x < self.abc);
+        let du = !(p | q);
+        let dv = !p & (q | !r);
+        (du as usize, dv as usize)
     }
 }
 
@@ -135,6 +158,98 @@ mod tests {
     #[should_panic(expected = "scale")]
     fn rejects_zero_scale() {
         let _ = RmatConfig::graph500(0, 16);
+    }
+
+    /// The level choice as a chain of branches, the shape the sampler had
+    /// before [`Thresholds::quadrant`].
+    fn chain(cfg: &RmatConfig, x: f64) -> (usize, usize) {
+        if x < cfg.a {
+            (0, 0)
+        } else if x < cfg.a + cfg.b {
+            (0, 1)
+        } else if x < cfg.a + cfg.b + cfg.c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// [`for_each_edge`] with the chain in place of the quadrant bits.
+    fn chain_edges(cfg: &RmatConfig, seed: u64) -> Vec<(NodeId, NodeId)> {
+        let mut r = rng(seed);
+        let mut edges = Vec::new();
+        for _ in 0..cfg.nodes() * cfg.edge_factor {
+            let (mut u, mut v) = (0usize, 0usize);
+            for _ in 0..cfg.scale {
+                let (du, dv) = chain(cfg, r.gen());
+                u = (u << 1) | du;
+                v = (v << 1) | dv;
+            }
+            if u != v {
+                edges.push((u as NodeId, v as NodeId));
+            }
+        }
+        edges
+    }
+
+    fn configs() -> Vec<RmatConfig> {
+        let g500 = RmatConfig::graph500(9, 8);
+        vec![
+            g500,
+            RmatConfig { b: 0.0, ..g500 },
+            RmatConfig { c: 0.0, ..g500 },
+            RmatConfig {
+                b: 0.0,
+                c: 0.0,
+                ..g500
+            },
+            RmatConfig { a: 0.0, ..g500 },
+            RmatConfig {
+                a: 1.0,
+                b: 0.0,
+                c: 0.0,
+                ..g500
+            },
+            // Bounds out of order: the chain's precedence still decides.
+            RmatConfig {
+                a: 0.6,
+                b: -0.3,
+                c: 0.5,
+                ..g500
+            },
+            RmatConfig {
+                a: 0.25,
+                b: 0.25,
+                c: 0.25,
+                ..g500
+            },
+        ]
+    }
+
+    #[test]
+    fn quadrant_bits_match_the_branch_chain_on_every_draw() {
+        for cfg in configs() {
+            let mut streamed = Vec::new();
+            for_each_edge(&cfg, 17, |u, v| streamed.push((u, v)));
+            assert_eq!(streamed, chain_edges(&cfg, 17), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn quadrant_bits_match_the_branch_chain_on_the_thresholds() {
+        for cfg in configs() {
+            let t = Thresholds::of(&cfg);
+            for bound in [t.a, t.ab, t.abc, 0.0, 1.0] {
+                for x in [
+                    bound,
+                    f64::from_bits(bound.to_bits().wrapping_sub(1)),
+                    f64::from_bits(bound.to_bits() + 1),
+                    -bound,
+                ] {
+                    assert_eq!(t.quadrant(x), chain(&cfg, x), "{cfg:?} x={x:e}");
+                }
+            }
+        }
     }
 
     #[test]

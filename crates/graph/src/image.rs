@@ -37,7 +37,16 @@
 //! digests of the three sections, each digest itself FNV-1a over that
 //! section's bytes (an absent weights section hashes as the empty string).
 //! Per-section digests let the streaming ingest writer checksum the col and
-//! weight streams as they spill, before `row_ptr` is complete.
+//! weight streams as they spill, before `row_ptr` is complete. The header
+//! is outside the checksum: each of its fields is checked on its own, and
+//! clearing the sorted flag only withdraws a claim.
+//!
+//! FNV-1a is a serial chain of about four cycles a byte, so most of a load
+//! is the hash. Where the process may use a second CPU
+//! (`crate::pipeline`), the hash runs there: beside the CSR invariant
+//! checks on the mapped path, and a decoded piece behind the reader on the
+//! buffered path, which checks `col` as it decodes it. A checksum mismatch
+//! is still reported before an invalid CSR.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
@@ -46,10 +55,11 @@ use std::sync::Arc;
 
 use minnow_sim::observer::MemoryImage;
 
-use crate::csr::Csr;
+use crate::csr::{Check, Csr};
 use crate::io::ParseError;
 use crate::layout::{AddressMap, EDGE_BASE};
 use crate::mmap::Mapping;
+use crate::pipeline::{self, Relay};
 
 /// Schema identifier for the on-disk CSR image format.
 pub const IMAGE_SCHEMA: &str = "minnow-csr-image/v1";
@@ -296,31 +306,50 @@ fn write_words<T: Copy, const N: usize>(
     Ok(())
 }
 
-/// Reads `count` little-endian words a `block` at a time, hashing and
-/// decoding each block in one pass, so no second copy of the section is
-/// held. Returns the words and the section's digest.
+/// Fills `out` with little-endian words read a `block` at a time.
 fn read_words<T, const N: usize>(
     r: &mut impl Read,
     block: &mut [u8],
-    count: u64,
+    out: &mut [T],
     decode: fn([u8; N]) -> T,
-) -> Result<(Vec<T>, u64), ParseError> {
-    let mut out = Vec::with_capacity(count as usize);
-    let mut digest = Fnv::new();
-    let mut left = count as usize * N;
-    while left > 0 {
-        let len = left.min(block.len());
-        let chunk = &mut block[..len];
-        r.read_exact(chunk)?;
-        // Hash and decode word by word, so decoding overlaps the hash's
-        // multiply chain.
-        out.extend(chunk.chunks_exact(N).map(|word| {
-            digest.update(word);
-            decode(word.try_into().expect("chunks_exact yields N bytes"))
-        }));
-        left -= chunk.len();
+) -> io::Result<()> {
+    for words in out.chunks_mut(block.len() / N) {
+        let bytes = &mut block[..words.len() * N];
+        r.read_exact(bytes)?;
+        for (word, raw) in words.iter_mut().zip(bytes.chunks_exact(N)) {
+            *word = decode(raw.try_into().expect("chunks_exact yields N bytes"));
+        }
     }
-    Ok((out, digest.finish()))
+    Ok(())
+}
+
+/// Words per hand-off from the buffered reader to the hashing stage: the
+/// stage wakes once per 1 MiB of `col`.
+const HASH_WORDS: usize = 1 << 18;
+
+/// A decoded piece of one section, on its way to the hashing stage.
+enum Piece<'a> {
+    RowPtr(&'a [u64]),
+    Col(&'a [u32]),
+    Weights(&'a [u32]),
+}
+
+impl Piece<'_> {
+    /// Adds the piece's little-endian bytes to its section's digest in
+    /// `digests` (`row_ptr`, `col`, `weights`).
+    fn hash(&self, digests: &mut [Fnv; 3]) {
+        match *self {
+            Piece::RowPtr(words) => words
+                .iter()
+                .for_each(|w| digests[0].update(&w.to_le_bytes())),
+            Piece::Col(words) => words
+                .iter()
+                .for_each(|w| digests[1].update(&w.to_le_bytes())),
+            Piece::Weights(words) => words
+                .iter()
+                .for_each(|w| digests[2].update(&w.to_le_bytes())),
+        }
+    }
 }
 
 /// Writes `graph` as a `minnow-csr-image/v1` file at `path`.
@@ -434,6 +463,20 @@ pub fn load_image(path: &Path, mode: LoadMode) -> Result<Csr, ParseError> {
     }
 }
 
+fn checksum_mismatch(header: &Header, checksum: u64) -> ParseError {
+    image_err(format!(
+        "checksum mismatch: header says {:#018x}, sections hash to \
+         {checksum:#018x} (file corrupt)",
+        header.checksum
+    ))
+}
+
+fn invalid_csr(e: String) -> ParseError {
+    image_err(format!("invalid CSR in image: {e}"))
+}
+
+/// The mapped path: the sections are hashed on a second CPU while the CSR
+/// checks run on this one. A checksum mismatch is still reported first.
 fn load_mapped(file: &File, header: &Header, col_off: u64, w_off: u64) -> Result<Csr, ParseError> {
     let map = Arc::new(Mapping::of_file(file)?);
     let bytes = map.bytes();
@@ -442,48 +485,77 @@ fn load_mapped(file: &File, header: &Header, col_off: u64, w_off: u64) -> Result
     let w_count = if header.weighted { col_count } else { 0 };
     let (row_off, col_off, w_off) = (HEADER_LEN as usize, col_off as usize, w_off as usize);
 
-    let checksum = combine_digests(
-        digest_bytes(&bytes[row_off..col_off]),
-        digest_bytes(&bytes[col_off..w_off]),
-        digest_bytes(&bytes[w_off..]),
+    let (checksum, graph) = pipeline::beside(
+        || {
+            combine_digests(
+                digest_bytes(&bytes[row_off..col_off]),
+                digest_bytes(&bytes[col_off..w_off]),
+                digest_bytes(&bytes[w_off..]),
+            )
+        },
+        || {
+            Csr::from_mapped(
+                Arc::clone(&map),
+                (row_off, row_count),
+                (col_off, col_count),
+                (w_off, w_count),
+                header.sorted,
+            )
+        },
     );
     if checksum != header.checksum {
-        return Err(image_err(format!(
-            "checksum mismatch: header says {:#018x}, sections hash to \
-             {checksum:#018x} (file corrupt)",
-            header.checksum
-        )));
+        return Err(checksum_mismatch(header, checksum));
     }
-    Csr::from_mapped(
-        map,
-        (row_off, row_count),
-        (col_off, col_count),
-        (w_off, w_count),
-        header.sorted,
-    )
-    .map_err(|e| image_err(format!("invalid CSR in image: {e}")))
+    graph.map_err(invalid_csr)
 }
 
+/// The buffered path: each section is read and decoded a block at a time,
+/// `col` checked as it is decoded, and every decoded piece hashed on a
+/// second CPU while the next is read. A checksum mismatch is still
+/// reported before an invalid CSR.
 fn load_buffered(mut file: File, header: &Header) -> Result<Csr, ParseError> {
+    let edges = header.edges as usize;
+    let mut row_ptr = vec![0u64; header.nodes as usize + 1];
+    let mut col = vec![0u32; edges];
+    let w_count = if header.weighted { edges } else { 0 };
+    let mut weights = vec![0u32; w_count];
+    let mut digests = [Fnv::new(); 3];
     let mut block = vec![0u8; BLOCK_BYTES];
-    let (row_ptr, row_digest) =
-        read_words(&mut file, &mut block, header.nodes + 1, u64::from_le_bytes)?;
-    let (col, col_digest) = read_words(&mut file, &mut block, header.edges, u32::from_le_bytes)?;
-    let (weights, w_digest) = if header.weighted {
-        read_words(&mut file, &mut block, header.edges, u32::from_le_bytes)?
-    } else {
-        (Vec::new(), digest_bytes(&[]))
-    };
+    let checked = std::thread::scope(|s| -> io::Result<Result<(), String>> {
+        let mut hash = Relay::new(s, |piece: &mut Piece| {
+            piece.hash(&mut digests);
+            Ok(())
+        });
+        read_words(&mut file, &mut block, &mut row_ptr, u64::from_le_bytes)?;
+        let row_ptr = &row_ptr[..];
+        for words in row_ptr.chunks(HASH_WORDS) {
+            hash.pass(Piece::RowPtr(words))?;
+        }
+        let mut check = Check::new(row_ptr, edges, header.sorted);
+        for words in col.chunks_mut(HASH_WORDS) {
+            read_words(&mut file, &mut block, words, u32::from_le_bytes)?;
+            check.feed(words);
+            hash.pass(Piece::Col(words))?;
+        }
+        for words in weights.chunks_mut(HASH_WORDS) {
+            read_words(&mut file, &mut block, words, u32::from_le_bytes)?;
+            hash.pass(Piece::Weights(words))?;
+        }
+        hash.finish()?;
+        Ok(check.finish(w_count))
+    })?;
+    let [row_digest, col_digest, w_digest] = digests.map(Fnv::finish);
     let checksum = combine_digests(row_digest, col_digest, w_digest);
     if checksum != header.checksum {
-        return Err(image_err(format!(
-            "checksum mismatch: header says {:#018x}, sections hash to \
-             {checksum:#018x} (file corrupt)",
-            header.checksum
-        )));
+        return Err(checksum_mismatch(header, checksum));
     }
-    Csr::from_parts(row_ptr, col, weights, header.sorted)
-        .map_err(|e| image_err(format!("invalid CSR in image: {e}")))
+    checked.map_err(invalid_csr)?;
+    Ok(Csr::from_checked_parts(
+        row_ptr,
+        col,
+        weights,
+        header.sorted,
+    ))
 }
 
 /// A [`MemoryImage`] over one graph laid out by an [`AddressMap`].

@@ -8,16 +8,27 @@
 //! the merged stream visits sources in ascending order, the CSR sections
 //! fall out sequentially, so the full edge list is never resident.
 //!
-//! In-core memory is the run buffer and the row-pointer array (8 bytes
-//! per node). A run holds `budget_bytes / 12` edges (at least 4096): 12
-//! bytes each once weights differ, or 8 while every weight agrees (any
+//! The work runs on two threads when the process may use a second CPU
+//! (`crate::pipeline`): the parser fills one run buffer while a helper
+//! sorts and spills the previous one, and the merge fills one buffer with
+//! merged records while the helper closes out the row pointers, hashes the
+//! sections and writes them from the previous one. On one CPU the same
+//! stages run inline, with one buffer.
+//!
+//! In-core memory is the run buffers and the row-pointer array (8 bytes
+//! per node). The budget holds `budget_bytes / 12` edges, split evenly
+//! between the buffers in circulation (two with a helper, so a run holds
+//! `budget_bytes / 24` edges, and one without), each at least 4096 edges:
+//! 12 bytes each once weights differ, or 8 while every weight agrees (any
 //! unweighted input), when only the packed `(src, dst)` keys are kept. A
-//! run whose weights first differ past its midpoint spills there, so
-//! switching to whole records never overshoots the budget, and sorting
-//! needs no scratch. The merge holds one 64 KiB block per run instead.
+//! buffer whose weights first differ past its midpoint is handed on there,
+//! so switching to whole records never overshoots the budget, and sorting
+//! needs no scratch. The merge adds one 64 KiB block per run and reuses
+//! the emptied run buffers to carry merged records to the helper.
 //! A scale-20 RMAT edge list (16.8M lines, 31.4M directed edges kept)
 //! ingests under a 32 MiB budget in 12 runs at about 3.3M input edges/s
-//! on a 2-vCPU Xeon host (EXPERIMENTS.md, "Real inputs").
+//! on one CPU of a 2-vCPU Xeon host (EXPERIMENTS.md, "Real inputs"); with
+//! two CPUs it takes 24 runs.
 //!
 //! Two sinks consume the merged stream:
 //!
@@ -41,6 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::csr::{Csr, NodeId};
 use crate::image;
 use crate::io::{stream_edges, GraphSource, ParseError};
+use crate::pipeline::Relay;
 
 /// Knobs for one ingestion pass.
 #[derive(Debug, Clone)]
@@ -136,7 +148,43 @@ enum RunBuf {
     Mixed(Vec<(u32, u32, u32)>),
 }
 
+/// How many edges a run buffer may hold in each layout.
+#[derive(Debug, Clone, Copy)]
+struct Caps {
+    /// Packed keys, 8 bytes each.
+    keys: usize,
+    /// Whole records, 12 bytes each.
+    recs: usize,
+}
+
+impl Caps {
+    /// The caps of a buffer with `bytes` of the budget, each at least 4096
+    /// edges.
+    fn of(bytes: usize) -> Caps {
+        Caps {
+            keys: (bytes / 8).max(4096),
+            recs: (bytes / REC_BYTES).max(4096),
+        }
+    }
+
+    /// The same caps, but no more than `edges` in either layout.
+    fn at_most(self, edges: usize) -> Caps {
+        Caps {
+            keys: self.keys.min(edges),
+            recs: self.recs.min(edges),
+        }
+    }
+}
+
 impl RunBuf {
+    /// An empty keys-only buffer with room for the edges to come.
+    fn new(caps: Caps) -> RunBuf {
+        RunBuf::Uniform {
+            keys: Vec::with_capacity(caps.keys.min(1 << 20)),
+            weight: 0,
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             RunBuf::Uniform { keys, .. } => keys.len(),
@@ -157,6 +205,67 @@ impl RunBuf {
             RunBuf::Uniform { keys, .. } => keys.sort_unstable(),
             RunBuf::Mixed(recs) => recs.sort_unstable(),
         }
+    }
+
+    /// Appends an edge unless the buffer must be handed on first: when it
+    /// is full, or when a second weight arrives past half of `caps.recs`.
+    /// Converting keys to whole records holds both at once, 20 bytes per
+    /// edge, which past that point would overshoot the budget. Returns
+    /// whether the edge went in; an empty buffer always takes it.
+    #[inline]
+    fn push(&mut self, caps: Caps, u: u32, v: u32, w: u32) -> bool {
+        // The common case, as one comparison and a store: room below both
+        // the cap and the allocation, and no change of weight.
+        match self {
+            RunBuf::Uniform { keys, weight }
+                if *weight == w
+                    && !keys.is_empty()
+                    && keys.len() < caps.keys.min(keys.capacity()) =>
+            {
+                keys.push(edge_key(u, v));
+                return true;
+            }
+            RunBuf::Mixed(recs) if recs.len() < caps.recs.min(recs.capacity()) => {
+                recs.push((u, v, w));
+                return true;
+            }
+            _ => {}
+        }
+        self.push_slow(caps, u, v, w)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn push_slow(&mut self, caps: Caps, u: u32, v: u32, w: u32) -> bool {
+        if let RunBuf::Uniform { keys, weight } = self {
+            if keys.len() == caps.keys {
+                return false;
+            }
+            if keys.is_empty() {
+                *weight = w;
+            }
+            if *weight == w {
+                push_capped(keys, caps.keys, edge_key(u, v));
+                return true;
+            }
+            if keys.len() > caps.recs / 2 {
+                return false;
+            }
+            let mut recs = Vec::with_capacity(keys.len().max(caps.recs.min(1 << 20)));
+            let uniform = *weight;
+            recs.extend(
+                keys.iter()
+                    .map(|&key| ((key >> 32) as u32, key as u32, uniform)),
+            );
+            *self = RunBuf::Mixed(recs);
+        }
+        if let RunBuf::Mixed(recs) = self {
+            if recs.len() == caps.recs {
+                return false;
+            }
+            push_capped(recs, caps.recs, (u, v, w));
+        }
+        true
     }
 
     /// The buffered `(src, dst, weight)` records, in buffer order.
@@ -180,127 +289,43 @@ fn push_capped<T>(buf: &mut Vec<T>, cap: usize, item: T) {
     buf.push(item);
 }
 
-/// Accumulates edges, spilling sorted runs to disk when the buffer fills.
-struct RunSorter {
-    buf: RunBuf,
-    /// Edges per run: `budget_bytes / 12`, the size of a full buffer of
-    /// whole records.
-    cap: usize,
+/// The spill stage: sorts each full run buffer, writes it to a temp-file
+/// run and empties it. Removes its runs when dropped.
+struct Spiller {
     runs: Vec<PathBuf>,
     dir: PathBuf,
     tag: String,
-    max_id: u64,
-    any: bool,
+    /// Encoding buffer for run writes.
+    block: Vec<u8>,
 }
 
-impl RunSorter {
-    fn new(opts: &IngestOptions) -> RunSorter {
-        let cap = (opts.budget_bytes / REC_BYTES).max(4096);
-        RunSorter {
-            buf: RunBuf::Uniform {
-                keys: Vec::with_capacity(cap.min(1 << 20)),
-                weight: 0,
-            },
-            cap,
+impl Spiller {
+    fn new(opts: &IngestOptions) -> Spiller {
+        Spiller {
             runs: Vec::new(),
             dir: opts
                 .temp_dir
                 .clone()
                 .unwrap_or_else(std::env::temp_dir),
             tag: temp_tag(),
-            max_id: 0,
-            any: false,
+            block: Vec::with_capacity(RUN_BLOCK),
         }
     }
 
-    fn push(&mut self, u: NodeId, v: NodeId, w: u32) -> std::io::Result<()> {
-        self.any = true;
-        self.max_id = self.max_id.max(u as u64).max(v as u64);
-        if self.buf.len() == self.cap {
-            self.spill()?;
-        }
-        if let RunBuf::Uniform { keys, weight } = &mut self.buf {
-            if keys.is_empty() {
-                *weight = w;
-            }
-            if *weight == w {
-                push_capped(keys, self.cap, edge_key(u, v));
-                return Ok(());
-            }
-            // A second weight. Converting holds the keys and the records
-            // at once, 20 bytes per edge; past half a run that would
-            // overshoot the budget, so the uniform part spills as its own
-            // run instead.
-            if keys.len() > self.cap / 2 {
-                self.spill()?;
-                return self.push(u, v, w);
-            }
-            let mut recs = Vec::with_capacity(keys.len().max(self.cap.min(1 << 20)));
-            let uniform = *weight;
-            recs.extend(
-                keys.iter()
-                    .map(|&key| ((key >> 32) as u32, key as u32, uniform)),
-            );
-            self.buf = RunBuf::Mixed(recs);
-        }
-        if let RunBuf::Mixed(recs) = &mut self.buf {
-            push_capped(recs, self.cap, (u, v, w));
-        }
-        Ok(())
-    }
-
-    fn spill(&mut self) -> std::io::Result<()> {
-        self.buf.sort();
+    fn spill(&mut self, buf: &mut RunBuf) -> std::io::Result<()> {
+        buf.sort();
         let path = self
             .dir
             .join(format!("minnow-ingest-{}-run{}.tmp", self.tag, self.runs.len()));
         let mut file = File::create(&path)?;
         self.runs.push(path);
-        write_run(&mut file, self.buf.records())?;
-        self.buf.clear();
+        write_run(&mut file, &mut self.block, buf.records())?;
+        buf.clear();
         Ok(())
-    }
-
-    /// Merges everything pushed so far into ascending `(src, dst, weight)`
-    /// order, invoking `emit` per record. Returns the number of runs merged.
-    fn merge(mut self, mut emit: impl FnMut(u32, u32, u32)) -> std::io::Result<usize> {
-        if self.runs.is_empty() {
-            // Everything fit in core: one implicit run.
-            self.buf.sort();
-            for (a, b, c) in self.buf.records() {
-                emit(a, b, c);
-            }
-            return Ok(1);
-        }
-        if self.buf.len() > 0 {
-            self.spill()?;
-        }
-        let nruns = self.runs.len();
-        let mut readers: Vec<RunReader> = self
-            .runs
-            .iter()
-            .map(|p| File::open(p).map(RunReader::new))
-            .collect::<std::io::Result<_>>()?;
-        // The run buffer is done with; only the readers' blocks stay.
-        self.buf = RunBuf::Mixed(Vec::new());
-        let heads = readers
-            .iter_mut()
-            .map(RunReader::next_rec)
-            .collect::<std::io::Result<_>>()?;
-        let mut tree = LoserTree::new(heads);
-        loop {
-            let (run, rec) = tree.winner();
-            if rec == EXHAUSTED {
-                break;
-            }
-            emit((rec >> 64) as u32, (rec >> 32) as u32, rec as u32);
-            tree.replace_winner(readers[run].next_rec()?);
-        }
-        Ok(nruns)
     }
 }
 
-impl Drop for RunSorter {
+impl Drop for Spiller {
     fn drop(&mut self) {
         for p in &self.runs {
             let _ = std::fs::remove_file(p);
@@ -308,40 +333,97 @@ impl Drop for RunSorter {
     }
 }
 
+/// Fills run buffers by the rules of [`RunBuf::push`] and hands each full
+/// one to a relay's stage, refilling the emptied ones it gets back. The
+/// intake hands runs to the spill stage this way, and the merge hands
+/// merged records to the sink stage in the same buffers.
+struct Buffers<'scope, F> {
+    buf: RunBuf,
+    caps: Caps,
+    stage: Relay<'scope, RunBuf, F>,
+    /// Emptied buffers not in use.
+    spare: Vec<RunBuf>,
+    /// Buffers handed to the stage so far.
+    passed: usize,
+}
+
+impl<'scope, F: FnMut(&mut RunBuf) -> std::io::Result<()> + Send + 'scope> Buffers<'scope, F> {
+    fn new(caps: Caps, stage: Relay<'scope, RunBuf, F>, mut spare: Vec<RunBuf>) -> Self {
+        Buffers {
+            buf: spare.pop().unwrap_or_else(|| RunBuf::new(caps)),
+            caps,
+            stage,
+            spare,
+            passed: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, u: u32, v: u32, w: u32) -> std::io::Result<()> {
+        if !self.buf.push(self.caps, u, v, w) {
+            self.pass()?;
+            self.buf.push(self.caps, u, v, w);
+        }
+        Ok(())
+    }
+
+    /// Hands the current buffer to the stage and takes an empty one.
+    fn pass(&mut self) -> std::io::Result<()> {
+        let full = std::mem::replace(&mut self.buf, RunBuf::Mixed(Vec::new()));
+        self.buf = match self.stage.pass(full)? {
+            Some(empty) => empty,
+            None => self.spare.pop().unwrap_or_else(|| RunBuf::new(self.caps)),
+        };
+        self.passed += 1;
+        Ok(())
+    }
+
+    /// Waits for the stage; returns the current buffer and the others.
+    fn finish(self) -> std::io::Result<(RunBuf, Vec<RunBuf>)> {
+        let mut others = self.stage.finish()?;
+        others.extend(self.spare);
+        Ok((self.buf, others))
+    }
+}
+
 /// Writes sorted records as one spill run of little-endian `(src, dst,
 /// weight)` triples, a 64 KiB block per write.
 fn write_run(
     out: &mut impl Write,
+    block: &mut Vec<u8>,
     recs: impl Iterator<Item = (u32, u32, u32)>,
 ) -> std::io::Result<()> {
-    let mut block = Vec::with_capacity(BLOCK_RECS * REC_BYTES);
+    block.clear();
     for (a, b, c) in recs {
         block.extend_from_slice(&a.to_le_bytes());
         block.extend_from_slice(&b.to_le_bytes());
         block.extend_from_slice(&c.to_le_bytes());
-        if block.len() == BLOCK_RECS * REC_BYTES {
-            out.write_all(&block)?;
+        if block.len() == RUN_BLOCK {
+            out.write_all(block)?;
             block.clear();
         }
     }
-    out.write_all(&block)
+    out.write_all(block)
 }
 
-/// Reads one spilled run back a 64 KiB block at a time.
-struct RunReader {
+/// Bytes of one run reader's block: 64 KiB of whole records.
+const RUN_BLOCK: usize = BLOCK_RECS * REC_BYTES;
+
+/// Reads one spilled run back a block at a time.
+struct RunReader<'a> {
     file: File,
-    block: Vec<u8>,
+    block: &'a mut [u8],
     /// Next unread byte of `block`.
     pos: usize,
     /// Bytes of `block` holding data.
     len: usize,
 }
 
-impl RunReader {
-    fn new(file: File) -> RunReader {
+impl<'a> RunReader<'a> {
+    fn new(file: File, block: &'a mut [u8]) -> RunReader<'a> {
         RunReader {
             file,
-            block: vec![0; BLOCK_RECS * REC_BYTES],
+            block,
             pos: 0,
             len: 0,
         }
@@ -440,8 +522,8 @@ impl LoserTree {
     }
 }
 
-/// Shared merge-and-build driver: runs the merge, handing each kept edge
-/// (post-dedup) to `take`, and closes out the row-pointer array.
+/// Closes out the row-pointer array over the merged stream and applies
+/// dedup.
 struct Builder {
     row_ptr: Vec<u64>,
     kept: u64,
@@ -463,10 +545,10 @@ impl Builder {
         }
     }
 
-    /// Processes one merged record; returns the edge to keep, if any.
-    fn accept(&mut self, u: u32, v: u32, w: u32) -> Option<(u32, u32, u32)> {
+    /// Processes one merged edge; returns whether to keep it.
+    fn accept(&mut self, u: u32, v: u32) -> bool {
         if self.dedup && self.last == Some((u, v)) {
-            return None;
+            return false;
         }
         self.last = Some((u, v));
         // Close out row_ptr entries for every source up to and including u.
@@ -475,7 +557,7 @@ impl Builder {
             self.row_ptr.push(self.kept);
         }
         self.kept += 1;
-        Some((u, v, w))
+        true
     }
 
     fn finish(mut self) -> Vec<u64> {
@@ -484,6 +566,148 @@ impl Builder {
         }
         self.row_ptr
     }
+}
+
+/// Where the intake left the sorted edges.
+enum Runs {
+    /// The input fit in one buffer, which the merge sorts in place.
+    InCore(RunBuf),
+    /// Every run is in the [`Spiller`]'s files, and the emptied run
+    /// buffers carry the merged records to the sink stage.
+    Spilled { spent: Vec<RunBuf> },
+}
+
+/// What the intake half leaves for the merge.
+struct Intake {
+    /// Owns the run files, and removes them when dropped.
+    spiller: Spiller,
+    /// What each run buffer may hold.
+    caps: Caps,
+    runs: Runs,
+    edges_read: u64,
+    nodes: u64,
+    weighted: bool,
+}
+
+/// Intake half shared by both sinks: parses on this thread while the spill
+/// stage sorts and writes the previous run buffer.
+fn fill<R: Read>(
+    source: GraphSource,
+    reader: R,
+    opts: &IngestOptions,
+) -> Result<Intake, ParseError> {
+    let mut spiller = Spiller::new(opts);
+    let mut edges_read = 0u64;
+    let (mut any, mut max_id) = (false, 0u64);
+    let drop_loops = opts.drop_self_loops;
+    let symmetrize = opts.symmetrize;
+    let (info, caps, runs) = std::thread::scope(|s| {
+        let spill = Relay::new(s, |buf: &mut RunBuf| spiller.spill(buf));
+        // The buffers in circulation share the budget.
+        let caps = Caps::of(opts.budget_bytes / spill.items());
+        let mut buffers = Buffers::new(caps, spill, Vec::new());
+        let parsed = stream_edges(source, reader, |u, v, w| {
+            edges_read += 1;
+            if drop_loops && u == v {
+                return Ok(());
+            }
+            any = true;
+            max_id = max_id.max(u as u64).max(v as u64);
+            buffers.push(u, v, w)?;
+            if symmetrize && u != v {
+                buffers.push(v, u, w)?;
+            }
+            Ok(())
+        });
+        // A lone run stays in core; otherwise the last one spills too.
+        let spilled = buffers.passed > 0;
+        let parsed = parsed.and_then(|info| {
+            if spilled && buffers.buf.len() > 0 {
+                buffers.pass()?;
+            }
+            Ok(info)
+        });
+        // A spill failure wins over a parse error: the run it comes from
+        // holds input that precedes anything still being parsed.
+        let (last, mut spent) = buffers.finish()?;
+        let runs = if spilled {
+            spent.push(last);
+            Runs::Spilled { spent }
+        } else {
+            Runs::InCore(last)
+        };
+        Ok::<_, ParseError>((parsed?, caps, runs))
+    })?;
+    let declared = info.declared_nodes.unwrap_or(0);
+    let hinted = opts.nodes_hint.unwrap_or(0);
+    let seen = if any { max_id + 1 } else { 0 };
+    Ok(Intake {
+        spiller,
+        caps,
+        runs,
+        edges_read,
+        nodes: declared.max(hinted).max(seen),
+        weighted: info.weighted && !opts.strip_weights,
+    })
+}
+
+/// Merges the intake into ascending `(src, dst, weight)` order. `take`
+/// sees every record on the sink stage, a run buffer at a time, while the
+/// merge fills the next buffer. Returns the number of runs merged.
+fn merge(
+    intake: &mut Intake,
+    mut take: impl FnMut(u32, u32, u32) -> std::io::Result<()> + Send,
+) -> std::io::Result<usize> {
+    std::thread::scope(|s| {
+        let mut sink = Relay::new(s, |buf: &mut RunBuf| {
+            buf.records().try_for_each(|(u, v, w)| take(u, v, w))?;
+            buf.clear();
+            Ok(())
+        });
+        match std::mem::replace(&mut intake.runs, Runs::Spilled { spent: Vec::new() }) {
+            Runs::InCore(mut buf) => {
+                // Everything fit in core: one implicit run.
+                buf.sort();
+                sink.pass(buf)?;
+                sink.finish()?;
+                Ok(1)
+            }
+            Runs::Spilled { spent } => {
+                let runs = &intake.spiller.runs;
+                // One allocation for every reader's block, which goes back
+                // to the system whole when the merge ends.
+                let mut blocks = vec![0u8; runs.len() * RUN_BLOCK];
+                let mut readers = Vec::with_capacity(runs.len());
+                let mut heads = Vec::with_capacity(runs.len());
+                for (path, block) in runs.iter().zip(blocks.chunks_mut(RUN_BLOCK)) {
+                    let mut reader = RunReader::new(File::open(path)?, block);
+                    heads.push(reader.next_rec()?);
+                    readers.push(reader);
+                }
+                let mut tree = LoserTree::new(heads);
+                // With a helper, a hand-off is a whole run buffer, since a
+                // wake-up costs tens of microseconds or more; inline, it is a
+                // part that stays in cache until the stage reads it back.
+                let part = if sink.items() > 1 {
+                    intake.caps
+                } else {
+                    intake.caps.at_most(1 << 14)
+                };
+                let mut out = Buffers::new(part, sink, spent);
+                loop {
+                    let (run, rec) = tree.winner();
+                    if rec == EXHAUSTED {
+                        break;
+                    }
+                    out.push((rec >> 64) as u32, (rec >> 32) as u32, rec as u32)?;
+                    tree.replace_winner(readers[run].next_rec()?);
+                }
+                out.pass()?;
+                out.finish()?;
+                Ok(runs.len())
+            }
+        }
+    })
 }
 
 /// Streams `reader` (parsed as `source`) through the external sorter into
@@ -504,20 +728,20 @@ pub fn ingest_to_csr<R: Read>(
     reader: R,
     opts: &IngestOptions,
 ) -> Result<(Csr, IngestReport), ParseError> {
-    let (sorter, edges_read, nodes, weighted) = fill(source, reader, opts)?;
-    let mut builder = Builder::new(nodes, opts.dedup);
+    let mut intake = fill(source, reader, opts)?;
+    let weighted = intake.weighted;
+    let mut builder = Builder::new(intake.nodes, opts.dedup);
     let mut col: Vec<NodeId> = Vec::new();
     let mut weights: Vec<u32> = Vec::new();
-    let runs = sorter
-        .merge(|u, v, w| {
-            if let Some((_, v, w)) = builder.accept(u, v, w) {
-                col.push(v);
-                if weighted {
-                    weights.push(w);
-                }
+    let runs = merge(&mut intake, |u, v, w| {
+        if builder.accept(u, v) {
+            col.push(v);
+            if weighted {
+                weights.push(w);
             }
-        })
-        .map_err(ParseError::Io)?;
+        }
+        Ok(())
+    })?;
     let kept = col.len() as u64;
     let row_ptr = builder.finish();
     let graph = Csr::from_parts(row_ptr, col, weights, true)
@@ -525,9 +749,9 @@ pub fn ingest_to_csr<R: Read>(
     Ok((
         graph,
         IngestReport {
-            edges_read,
+            edges_read: intake.edges_read,
             edges_kept: kept,
-            nodes,
+            nodes: intake.nodes,
             weighted,
             runs,
         },
@@ -536,7 +760,7 @@ pub fn ingest_to_csr<R: Read>(
 
 /// Streams `reader` (parsed as `source`) through the external sorter
 /// directly into a `minnow-csr-image/v1` file at `image_path`, keeping
-/// only the run buffer and the row-pointer array in memory — the col and
+/// only the run buffers and the row-pointer array in memory — the col and
 /// weight sections pass through temp files.
 ///
 /// # Errors
@@ -549,7 +773,7 @@ pub fn ingest_to_image<R: Read>(
     image_path: &Path,
     opts: &IngestOptions,
 ) -> Result<IngestReport, ParseError> {
-    let (sorter, edges_read, nodes, weighted) = fill(source, reader, opts)?;
+    let intake = fill(source, reader, opts)?;
     let dir = opts
         .temp_dir
         .clone()
@@ -557,20 +781,14 @@ pub fn ingest_to_image<R: Read>(
     let tag = temp_tag();
     let col_path = dir.join(format!("minnow-ingest-{tag}-col.tmp"));
     let w_path = dir.join(format!("minnow-ingest-{tag}-wts.tmp"));
-    let result = ingest_to_image_inner(
-        sorter, edges_read, nodes, weighted, opts, image_path, &col_path, &w_path,
-    );
+    let result = ingest_to_image_inner(intake, opts, image_path, &col_path, &w_path);
     let _ = std::fs::remove_file(&col_path);
     let _ = std::fs::remove_file(&w_path);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn ingest_to_image_inner(
-    sorter: RunSorter,
-    edges_read: u64,
-    nodes: u64,
-    weighted: bool,
+    mut intake: Intake,
     opts: &IngestOptions,
     image_path: &Path,
     col_path: &Path,
@@ -586,32 +804,21 @@ fn ingest_to_image_inner(
             .open(p)
     };
     let mut col_out = SectionSink::new(section_file(col_path)?);
-    let mut w_out = if weighted {
+    let mut w_out = if intake.weighted {
         Some(SectionSink::new(section_file(w_path)?))
     } else {
         None
     };
-    let mut builder = Builder::new(nodes, opts.dedup);
-    let mut io_err: Option<std::io::Error> = None;
-    let runs = sorter
-        .merge(|u, v, w| {
-            if io_err.is_some() {
-                return;
+    let mut builder = Builder::new(intake.nodes, opts.dedup);
+    let runs = merge(&mut intake, |u, v, w| {
+        if builder.accept(u, v) {
+            col_out.push(v)?;
+            if let Some(out) = &mut w_out {
+                out.push(w)?;
             }
-            if let Some((_, v, w)) = builder.accept(u, v, w) {
-                let pushed = col_out.push(v).and_then(|()| match &mut w_out {
-                    Some(out) => out.push(w),
-                    None => Ok(()),
-                });
-                if let Err(e) = pushed {
-                    io_err = Some(e);
-                }
-            }
-        })
-        .map_err(ParseError::Io)?;
-    if let Some(e) = io_err {
-        return Err(ParseError::Io(e));
-    }
+        }
+        Ok(())
+    })?;
     let kept = builder.kept;
     let row_ptr = builder.finish();
     let (mut col_file, col_digest) = col_out.finish()?;
@@ -629,10 +836,10 @@ fn ingest_to_image_inner(
         kept,
     )?;
     Ok(IngestReport {
-        edges_read,
+        edges_read: intake.edges_read,
         edges_kept: kept,
-        nodes,
-        weighted,
+        nodes: intake.nodes,
+        weighted: intake.weighted,
         runs,
     })
 }
@@ -674,38 +881,6 @@ impl SectionSink {
         self.write_block()?;
         Ok((self.file, self.digest.finish()))
     }
-}
-
-/// Intake half shared by both sinks: parse, filter, spill.
-fn fill<R: Read>(
-    source: GraphSource,
-    reader: R,
-    opts: &IngestOptions,
-) -> Result<(RunSorter, u64, u64, bool), ParseError> {
-    let mut sorter = RunSorter::new(opts);
-    let mut edges_read = 0u64;
-    let drop_loops = opts.drop_self_loops;
-    let symmetrize = opts.symmetrize;
-    let info = {
-        let s = &mut sorter;
-        stream_edges(source, reader, |u, v, w| {
-            edges_read += 1;
-            if drop_loops && u == v {
-                return Ok(());
-            }
-            s.push(u, v, w)?;
-            if symmetrize && u != v {
-                s.push(v, u, w)?;
-            }
-            Ok(())
-        })?
-    };
-    let declared = info.declared_nodes.unwrap_or(0);
-    let hinted = opts.nodes_hint.unwrap_or(0);
-    let seen = if sorter.any { sorter.max_id + 1 } else { 0 };
-    let nodes = declared.max(hinted).max(seen);
-    let weighted = info.weighted && !opts.strip_weights;
-    Ok((sorter, edges_read, nodes, weighted))
 }
 
 /// [`ingest_to_csr`] over a file path, with format auto-detection.
@@ -831,18 +1006,24 @@ mod tests {
             (100, 10_000, 3),  // records, spilled
             (9000, 3000, 3),   // keys spill twice; 808 keys convert, + 3000
         ] {
-            let mut sorter = RunSorter::new(&IngestOptions {
-                budget_bytes: 1,
-                ..IngestOptions::default()
-            });
             let mut expected: Vec<(u32, u32, u32)> = (0..uniform + mixed)
                 .map(|i| edge((i < uniform).then_some(7)))
                 .collect();
-            for &(u, v, w) in &expected {
-                sorter.push(u, v, w).unwrap();
-            }
+            let text: String = expected
+                .iter()
+                .map(|&(u, v, w)| format!("{u} {v} {w}\n"))
+                .collect();
+            let opts = IngestOptions {
+                budget_bytes: 1,
+                ..IngestOptions::default()
+            };
+            let mut intake = fill(GraphSource::EdgeList, text.as_bytes(), &opts).unwrap();
             let mut merged = Vec::new();
-            let merged_runs = sorter.merge(|u, v, w| merged.push((u, v, w))).unwrap();
+            let merged_runs = merge(&mut intake, |u, v, w| {
+                merged.push((u, v, w));
+                Ok(())
+            })
+            .unwrap();
             expected.sort_unstable();
             assert_eq!(merged, expected, "uniform={uniform} mixed={mixed}");
             assert_eq!(merged_runs, runs, "uniform={uniform} mixed={mixed}");
@@ -891,9 +1072,9 @@ mod tests {
             std::process::id()
         ));
         let mut bytes = Vec::new();
-        write_run(&mut bytes, written.iter().copied()).unwrap();
+        write_run(&mut bytes, &mut Vec::new(), written.iter().copied()).unwrap();
         assert_eq!(bytes.len(), written.len() * REC_BYTES);
-        let block = BLOCK_RECS * REC_BYTES;
+        let block = RUN_BLOCK;
         for cut in [
             REC_BYTES * 10 + 5,        // mid-record in the first block
             block + REC_BYTES * 7 + 3, // mid-record, mid-block, in the second
@@ -902,7 +1083,8 @@ mod tests {
             bytes.len() - 1,           // the last byte missing
         ] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
-            let mut reader = RunReader::new(File::open(&path).unwrap());
+            let mut block = vec![0; RUN_BLOCK];
+            let mut reader = RunReader::new(File::open(&path).unwrap(), &mut block);
             let mut recs = Vec::new();
             let end = loop {
                 match reader.next_rec() {

@@ -48,6 +48,7 @@ pub mod inputs;
 pub mod io;
 pub mod layout;
 mod mmap;
+mod pipeline;
 pub mod reorder;
 pub mod stats;
 
