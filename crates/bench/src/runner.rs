@@ -65,7 +65,7 @@ pub enum HwKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputSpec {
     /// Path to the graph: any [`minnow_graph::io::GraphSource`] format,
-    /// including `minnow-csr-image/v1` files.
+    /// including `minnow-csr-image` files.
     pub path: std::path::PathBuf,
     /// Explicit source format; `None` detects from the extension.
     pub format: Option<minnow_graph::io::GraphSource>,

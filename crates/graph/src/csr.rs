@@ -6,7 +6,7 @@
 //!
 //! A `Csr` owns its three sections (`row_ptr`, `col`, `weights`) either as
 //! plain vectors or as byte ranges of a memory-mapped
-//! [`minnow-csr-image/v1`](crate::image) file — the zero-copy load path. The
+//! [`minnow-csr-image`](crate::image) file — the zero-copy load path. The
 //! two representations are indistinguishable through the public API and
 //! compare equal when their logical contents match.
 
@@ -780,5 +780,105 @@ mod tests {
         assert_eq!(a, b);
         b.sort_adjacency();
         assert_ne!(a, b, "sorted flag participates in equality");
+    }
+
+    /// `bytes` in a temp file, mapped whole: the ground for the
+    /// [`Csr::from_mapped`] boundary checks.
+    #[cfg(unix)]
+    fn mapped(tag: &str, bytes: &[u8]) -> Arc<Mapping> {
+        let path =
+            std::env::temp_dir().join(format!("minnow-csr-test-{}-{tag}.bin", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let map = Mapping::of_file(&std::fs::File::open(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        Arc::new(map)
+    }
+
+    #[cfg(unix)]
+    fn le_bytes(row_ptr: &[u64], col: &[u32], weights: &[u32]) -> Vec<u8> {
+        let mut bytes: Vec<u8> = row_ptr.iter().flat_map(|v| v.to_le_bytes()).collect();
+        bytes.extend(col.iter().chain(weights).flat_map(|v| v.to_le_bytes()));
+        bytes
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn mapped_zero_edge_graph_has_an_empty_col_at_the_mapping_end() {
+        let map = mapped("zero-edge", &le_bytes(&[0, 0, 0, 0], &[], &[]));
+        assert_eq!(map.len(), 32);
+        let g = Csr::from_mapped(map, (0, 4), (32, 0), (32, 0), true).unwrap();
+        assert_eq!((g.nodes(), g.edges()), (3, 0));
+        assert_eq!(g.raw_parts(), (&[0, 0, 0, 0][..], &[][..], &[][..]));
+        assert!(g.neighbors(2).is_empty());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn mapped_weights_may_end_exactly_at_the_mapping_end() {
+        let map = mapped("weights-end", &le_bytes(&[0, 2, 3], &[0, 1, 1], &[5, 6, 7]));
+        assert_eq!(map.len(), 48);
+        let g = Csr::from_mapped(Arc::clone(&map), (0, 3), (24, 3), (36, 3), true).unwrap();
+        assert_eq!(
+            g.raw_parts(),
+            (&[0, 2, 3][..], &[0, 1, 1][..], &[5, 6, 7][..])
+        );
+        for (weights, fault) in [
+            ((36, 4), "weights section extends past the mapping"),
+            ((40, 3), "weights section extends past the mapping"),
+        ] {
+            let err = Csr::from_mapped(Arc::clone(&map), (0, 3), (24, 3), weights, true);
+            assert_eq!(err.unwrap_err(), fault, "{weights:?}");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn mapped_ranges_that_misalign_or_overflow_are_refused() {
+        let map = mapped("ranges", &le_bytes(&[0, 2, 3], &[0, 1, 1], &[5, 6, 7]));
+        let cases = [
+            ((4, 3), (24, 3), (36, 3), "row_ptr section is misaligned"),
+            ((0, 3), (26, 3), (36, 3), "col section is misaligned"),
+            ((0, 3), (24, 3), (37, 2), "weights section is misaligned"),
+            (
+                (0, usize::MAX),
+                (24, 3),
+                (36, 3),
+                "row_ptr section size overflows",
+            ),
+            (
+                (0, 3),
+                (24, usize::MAX / 2),
+                (36, 3),
+                "col section size overflows",
+            ),
+            (
+                (0, 3),
+                (usize::MAX - 3, 1),
+                (36, 3),
+                "col section end overflows",
+            ),
+            (
+                (0, 3),
+                (24, 3),
+                (usize::MAX, 0),
+                "weights section extends past the mapping",
+            ),
+            (
+                (0, 7),
+                (24, 3),
+                (36, 3),
+                "row_ptr section extends past the mapping",
+            ),
+            (
+                (0, 0),
+                (24, 3),
+                (36, 3),
+                "row_ptr must have at least one entry",
+            ),
+        ];
+        for (row_ptr, col, weights, fault) in cases {
+            let err = Csr::from_mapped(Arc::clone(&map), row_ptr, col, weights, false);
+            assert_eq!(err.unwrap_err(), fault, "{row_ptr:?} {col:?} {weights:?}");
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! * [`ingest_to_csr`] — assembles an in-memory [`Csr`] (the sections are
 //!   the only O(edges) memory),
 //! * [`ingest_to_image`] — streams the col/weight sections through temp
-//!   files into a `minnow-csr-image/v1` file ([`crate::image`]), keeping
+//!   files into a `minnow-csr-image/v2` file ([`crate::image`]), keeping
 //!   only the row-pointer array in RAM.
 //!
 //! The output is canonical: independent of input edge order and of the
@@ -759,7 +759,7 @@ pub fn ingest_to_csr<R: Read>(
 }
 
 /// Streams `reader` (parsed as `source`) through the external sorter
-/// directly into a `minnow-csr-image/v1` file at `image_path`, keeping
+/// directly into a `minnow-csr-image/v2` file at `image_path`, keeping
 /// only the run buffers and the row-pointer array in memory — the col and
 /// weight sections pass through temp files.
 ///
@@ -845,11 +845,11 @@ fn ingest_to_image_inner(
 }
 
 /// One image section streamed to a temp file in 64 KiB blocks, each block
-/// hashed into the section digest as it is written.
+/// added to the section's digests as it is written.
 struct SectionSink {
     file: File,
     block: Vec<u8>,
-    digest: image::Fnv,
+    digest: image::SectionDigest,
 }
 
 impl SectionSink {
@@ -857,7 +857,7 @@ impl SectionSink {
         SectionSink {
             file,
             block: Vec::with_capacity(image::BLOCK_BYTES),
-            digest: image::Fnv::new(),
+            digest: image::SectionDigest::new(),
         }
     }
 
@@ -876,10 +876,10 @@ impl SectionSink {
         Ok(())
     }
 
-    /// Writes the last partial block; returns the file and its digest.
-    fn finish(mut self) -> std::io::Result<(File, u64)> {
+    /// Writes the last partial block; returns the file and its digests.
+    fn finish(mut self) -> std::io::Result<(File, image::SectionDigest)> {
         self.write_block()?;
-        Ok((self.file, self.digest.finish()))
+        Ok((self.file, self.digest))
     }
 }
 

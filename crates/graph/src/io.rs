@@ -96,7 +96,7 @@ pub enum GraphSource {
     Graph500,
     /// 9th DIMACS Challenge `.gr` shortest-path format, 1-based.
     Dimacs,
-    /// `minnow-csr-image/v1` binary CSR image.
+    /// `minnow-csr-image` binary CSR image (v2, or v1).
     Image,
 }
 

@@ -18,7 +18,7 @@
 //! * [`ingest`] — bounded-memory streaming CSR construction over those
 //!   formats (external sort; scale-20+ inputs build without materializing
 //!   the edge list),
-//! * [`image`] — the `minnow-csr-image/v1` on-disk CSR format with
+//! * [`image`] — the `minnow-csr-image/v2` on-disk CSR format with
 //!   zero-copy mmap loading, plus the simulated-memory [`image::GraphImage`],
 //! * [`stats`] — degree distributions and double-sweep diameter estimation
 //!   (regenerates Table 1's columns),

@@ -1,13 +1,14 @@
 //! Two-core pipelining for the graph layer's write and read paths.
 //!
-//! Each path pairs a producer with a consumer that hands nothing back but
-//! emptied buffers or a digest: the parser with the run sort and spill, the
-//! merge with the row pointers and section writes, the image reader with
-//! the checksum. A [`Relay`] runs the consumer on a scoped helper thread
-//! when the process may use a second CPU, and inline on the caller's thread
-//! when it may not, so each stage has one body either way and a single CPU
-//! pays for no hand-offs. [`beside`] does the same for two independent
-//! computations.
+//! The ingest pairs producers with consumers that hand nothing back but
+//! emptied buffers: the parser with the run sort and spill, the merge with
+//! the row pointers and section writes. A [`Relay`] runs the consumer on a
+//! scoped helper thread when the process may use a second CPU, and inline
+//! on the caller's thread when it may not, so each stage has one body
+//! either way and a single CPU pays for no hand-offs. [`beside`] does the
+//! same for two independent computations: a mapped image load's digest and
+//! its CSR checks. A buffered image load hashes each block inline, which
+//! costs less than handing it over.
 
 use std::collections::VecDeque;
 use std::io;

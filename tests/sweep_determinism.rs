@@ -218,7 +218,7 @@ fn breakdown_rows_are_closed() {
 }
 
 /// Ingested inputs honor the same determinism contract: sweeping a
-/// graph loaded from a text edge list, from its `minnow-csr-image/v1`
+/// graph loaded from a text edge list, from its `minnow-csr-image/v2`
 /// rendering via buffered reads, and from the same image via mmap must
 /// produce byte-identical artifacts — the input path is an execution
 /// detail, never part of the simulated result.
