@@ -23,7 +23,6 @@
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod host;
 pub mod pr;
 pub mod sssp;
 pub mod suite;

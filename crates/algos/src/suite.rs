@@ -117,6 +117,14 @@ impl WorkloadKind {
         WorkloadKind::Bc,
     ];
 
+    /// The workload a command line names: [`WorkloadKind::name`] in any
+    /// letter case; `None` for anything else.
+    pub fn parse(name: &str) -> Option<WorkloadKind> {
+        WorkloadKind::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+    }
+
     /// Workload label as in the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -316,6 +324,18 @@ mod tests {
             op.check().unwrap_or_else(|e| panic!("{kind} wrong: {e}"));
             assert!(report.tasks > 0, "{kind} executed nothing");
         }
+    }
+
+    #[test]
+    fn parse_ignores_case_and_refuses_other_names() {
+        for kind in WorkloadKind::ALL {
+            assert_eq!(WorkloadKind::parse(kind.name()), Some(kind));
+            assert_eq!(WorkloadKind::parse(&kind.name().to_ascii_lowercase()), Some(kind));
+        }
+        assert_eq!(WorkloadKind::parse("g500"), Some(WorkloadKind::G500));
+        assert_eq!(WorkloadKind::parse(""), None);
+        assert_eq!(WorkloadKind::parse("bfs "), None);
+        assert_eq!(WorkloadKind::parse("dfs"), None);
     }
 
     #[test]

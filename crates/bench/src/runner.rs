@@ -12,7 +12,7 @@ use minnow_graph::Csr;
 use minnow_prefetch::{Imp, StridePrefetcher};
 use minnow_runtime::bsp::{run_bsp, BspConfig};
 use minnow_runtime::sim_exec::{run, run_with_prefetcher, ExecConfig, RunReport};
-use minnow_runtime::{PolicyKind, SoftwareScheduler};
+use minnow_runtime::{Operator, PolicyKind, SoftwareScheduler};
 use minnow_sim::core::CoreMode;
 use minnow_sim::hierarchy::MemoryHierarchy;
 use minnow_sim::observer::HwPrefetcher;
@@ -247,9 +247,23 @@ impl BenchRun {
 
     /// [`BenchRun::execute_traced`] on a prepared input.
     pub fn execute_traced_on(&self, graph: Arc<Csr>, tracer: &Tracer) -> RunReport {
+        self.simulate(graph, tracer).0
+    }
+
+    /// [`BenchRun::execute_on`], plus the operator's check of its result
+    /// against the workload's serial reference (`Err` names the first
+    /// mismatch; a timed-out run is expected to fail it).
+    pub fn execute_checked_on(&self, graph: Arc<Csr>) -> (RunReport, Result<(), String>) {
+        let (report, op) = self.simulate(graph, &Tracer::disabled());
+        (report, op.check())
+    }
+
+    /// The one body that builds this run's scheduler and simulates it;
+    /// returns the operator too, so a caller can check its result.
+    fn simulate(&self, graph: Arc<Csr>, tracer: &Tracer) -> (RunReport, Box<dyn Operator + Send>) {
         let mut op = self.kind.operator_on(graph.clone());
         let cfg = self.exec_config();
-        match &self.sched {
+        let report = match &self.sched {
             SchedSpec::Software(policy) => {
                 let mut mem = MemoryHierarchy::new(&cfg.sim);
                 mem.set_tracer(tracer.clone());
@@ -307,7 +321,8 @@ impl BenchRun {
                 bsp.tracer = tracer.clone();
                 run_bsp(op.as_mut(), &bsp)
             }
-        }
+        };
+        (report, op)
     }
 }
 
@@ -343,6 +358,21 @@ mod tests {
             let report = run.execute();
             assert!(!report.timed_out, "{sched:?} timed out");
             assert!(report.tasks > 0, "{sched:?} did nothing");
+        }
+    }
+
+    #[test]
+    fn checked_runs_verify_and_match_the_unchecked_report() {
+        for mut run in [
+            BenchRun::software_default(WorkloadKind::Sssp, 2),
+            BenchRun::minnow_wdp(WorkloadKind::Cc, 2),
+            BenchRun::new(WorkloadKind::Bc, 2, SchedSpec::Bsp(None)),
+        ] {
+            run.scale = 0.03;
+            let (report, check) = run.execute_checked_on(run.input());
+            assert_eq!(check, Ok(()), "{}", run.sched.label());
+            let plain = run.execute();
+            assert_eq!((report.makespan, report.tasks), (plain.makespan, plain.tasks));
         }
     }
 

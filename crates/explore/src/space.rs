@@ -421,7 +421,7 @@ impl Space {
                 "workloads" => {
                     space.workloads = values
                         .iter()
-                        .map(|v| parse_workload(v).ok_or_else(|| at(format!("unknown workload `{v}`"))))
+                        .map(|v| WorkloadKind::parse(v).ok_or_else(|| at(format!("unknown workload `{v}`"))))
                         .collect::<Result<_, _>>()?;
                     saw_workloads = true;
                 }
@@ -468,12 +468,6 @@ impl Space {
         space.validate()?;
         Ok(space)
     }
-}
-
-fn parse_workload(name: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]

@@ -197,6 +197,19 @@ fn check_id_range(lineno: usize, src: u64, dst: u64) -> Result<(), ParseError> {
     Ok(())
 }
 
+/// A node count a header declares, refused when it exceeds the ids a
+/// [`NodeId`] can hold: every reader sizes its graph by it, so this must
+/// come before any allocation.
+fn check_declared_nodes(lineno: usize, n: u64) -> Result<u64, ParseError> {
+    if n > u64::from(NodeId::MAX) {
+        return Err(format_err(
+            lineno,
+            format!("declared node count {n} exceeds the u32 node-id range"),
+        ));
+    }
+    Ok(n)
+}
+
 /// The lines of a text input split exactly as [`BufRead::lines`] splits
 /// them (`\n` terminators, one `\r` before a terminator stripped, an
 /// unterminated last line kept), without a fresh `String` per line: a line
@@ -388,6 +401,7 @@ where
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| format_err(lineno, "bad arc count"))?;
+                check_declared_nodes(lineno, n)?;
                 nodes = Some(n);
                 info.declared_nodes = Some(n);
             }
@@ -493,7 +507,7 @@ where
 
     let mut info = EdgeStreamInfo {
         edges: 0,
-        declared_nodes: Some(rows.max(cols)),
+        declared_nodes: Some(check_declared_nodes(size_line, rows.max(cols))?),
         weighted: !pattern,
     };
     let mut entries = 0u64;
@@ -822,6 +836,53 @@ a 3 2 2
     fn dimacs_rejects_duplicate_problem_line() {
         let err = read_dimacs("p sp 1 0\np sp 2 0\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    /// Asserts that `text`, whose header declares 2^40 nodes, is refused
+    /// by `read` and by the streaming ingest into a CSR and into an image,
+    /// each with a parse error rather than an attempt to allocate.
+    fn assert_huge_declared_count_refused(
+        source: GraphSource,
+        text: &'static str,
+        read: fn(&'static [u8]) -> Result<Csr, ParseError>,
+    ) {
+        let want = "declared node count 1099511627776 exceeds the u32 node-id range";
+        let err = read(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains(want), "{source:?} read: {err}");
+        let opts = crate::ingest::IngestOptions::default();
+        let err = crate::ingest::ingest_to_csr(source, text.as_bytes(), &opts).unwrap_err();
+        assert!(err.to_string().contains(want), "{source:?} ingest: {err}");
+        let image = std::env::temp_dir().join(format!(
+            "minnow-io-huge-{}-{}.mcsr",
+            source.label(),
+            std::process::id()
+        ));
+        let err =
+            crate::ingest::ingest_to_image(source, text.as_bytes(), &image, &opts).unwrap_err();
+        assert!(err.to_string().contains(want), "{source:?} image ingest: {err}");
+        assert!(!image.exists(), "a refused ingest writes no image");
+    }
+
+    #[test]
+    fn dimacs_refuses_a_node_count_beyond_the_id_range() {
+        assert_huge_declared_count_refused(
+            GraphSource::Dimacs,
+            "p sp 1099511627776 1\na 1 2 3\n",
+            read_dimacs::<&[u8]>,
+        );
+        // One past the largest count a NodeId can index is refused too.
+        let err = read_dimacs("p sp 4294967296 0\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert_eq!(check_declared_nodes(1, u64::from(u32::MAX)).unwrap(), u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn matrix_market_refuses_a_node_count_beyond_the_id_range() {
+        assert_huge_declared_count_refused(
+            GraphSource::MatrixMarket,
+            "%%MatrixMarket matrix coordinate pattern general\n2 1099511627776 1\n1 2\n",
+            read_matrix_market::<&[u8]>,
+        );
     }
 
     #[test]

@@ -170,6 +170,89 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Writes `bytes` to a fresh temp file and maps it.
+    #[cfg(unix)]
+    fn mapped(tag: &str, bytes: &[u8]) -> (std::path::PathBuf, Mapping) {
+        let path = temp_path(tag);
+        std::fs::write(&path, bytes).unwrap();
+        let map = Mapping::of_file(&File::open(&path).unwrap()).unwrap();
+        (path, map)
+    }
+
+    /// `unsafe impl Send` and `Sync`: two threads read one mapping at
+    /// once, then a third owns and drops it.
+    #[test]
+    #[cfg(unix)]
+    fn mapping_is_shared_across_threads_and_moved_to_another() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(3 * 4096 + 17).collect();
+        let (path, map) = mapped("threads", &data);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| map.bytes().iter().map(|&b| u64::from(b)).sum::<u64>()))
+                .collect();
+            let want: u64 = data.iter().map(|&b| u64::from(b)).sum();
+            for r in readers {
+                assert_eq!(r.join().unwrap(), want);
+            }
+        });
+        let owner = std::thread::spawn(move || {
+            let copy = map.bytes().to_vec();
+            drop(map);
+            copy
+        });
+        assert_eq!(owner.join().unwrap(), data);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `bytes`: the slice stays valid once the `File` is closed and the
+    /// path unlinked, since the mapping holds its own reference.
+    #[test]
+    #[cfg(unix)]
+    fn bytes_outlive_the_file_handle_and_the_path() {
+        let (path, map) = mapped("unlinked", b"still mapped after unlink");
+        std::fs::remove_file(&path).unwrap();
+        assert!(!path.exists());
+        assert_eq!(map.bytes(), b"still mapped after unlink");
+    }
+
+    /// `map`: `mmap` refuses a `PROT_READ` mapping of a write-only fd;
+    /// that is an `Err`, not a panic or a bogus pointer.
+    #[test]
+    #[cfg(unix)]
+    fn write_only_fd_is_an_error() {
+        let path = temp_path("write-only");
+        std::fs::write(&path, b"not readable through this fd").unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let err = Mapping::of_file(&file).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `unmap`: every drop returns its mapping. The lines of
+    /// `/proc/self/maps` naming the file are counted, so other tests'
+    /// threads mapping and unmapping at the same time cannot disturb it.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn dropped_mappings_leave_no_trace_in_the_address_space() {
+        let path = temp_path("unmap");
+        std::fs::write(&path, vec![7u8; 8192]).unwrap();
+        let name = path.to_str().unwrap().to_string();
+        let lines = || {
+            let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+            maps.lines().filter(|l| l.ends_with(&name)).count()
+        };
+        let before = lines();
+        let file = File::open(&path).unwrap();
+        let live = Mapping::of_file(&file).unwrap();
+        assert_eq!(lines(), before + 1, "a live mapping shows in the maps");
+        drop(live);
+        for _ in 0..1000 {
+            drop(Mapping::of_file(&file).unwrap());
+        }
+        assert_eq!(lines(), before);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn refuses_empty_file() {
         let path = temp_path("empty");

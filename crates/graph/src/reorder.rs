@@ -1,11 +1,10 @@
 //! Node reordering (relabeling) transforms.
 //!
 //! Graph-analytics locality depends heavily on node numbering: BFS-order
-//! renumbering places topologically-near nodes on nearby cache lines, and
-//! degree-descending order groups the hubs that dominate access frequency.
-//! These are standard preprocessing steps for the systems the paper
-//! compares against, and they compose with the simulator: relabeled graphs
-//! run through the same address map and show different MPKI.
+//! renumbering places topologically-near nodes on nearby cache lines. It
+//! is a standard preprocessing step for the systems the paper compares
+//! against, and it composes with the simulator: relabeled graphs run
+//! through the same address map and show different MPKI.
 
 use crate::csr::{Csr, NodeId};
 
@@ -82,17 +81,6 @@ pub fn bfs_order(graph: &Csr, source: NodeId) -> Permutation {
     Permutation::new(perm)
 }
 
-/// Degree-descending renumbering: hubs first (ties by old id, stable).
-pub fn degree_order(graph: &Csr) -> Permutation {
-    let mut order: Vec<NodeId> = (0..graph.nodes() as NodeId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
-    let mut perm = vec![0 as NodeId; graph.nodes()];
-    for (new, &old) in order.iter().enumerate() {
-        perm[old as usize] = new as NodeId;
-    }
-    Permutation::new(perm)
-}
-
 /// Applies a permutation, producing the relabeled graph (adjacency order
 /// follows the new source numbering; weights carried).
 ///
@@ -134,7 +122,6 @@ pub fn edge_locality(graph: &Csr) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::powerlaw::{self, PowerLawConfig};
     use crate::gen::uniform::{self, UniformConfig};
 
     fn edge_multiset(g: &Csr) -> Vec<(NodeId, NodeId, u32)> {
@@ -174,15 +161,6 @@ mod tests {
             after < before * 0.9,
             "BFS order must tighten ids: {before:.0} -> {after:.0}"
         );
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        let g = powerlaw::generate(&PowerLawConfig::new(500, 5, 1.2), 4);
-        let perm = degree_order(&g);
-        let h = relabel(&g, &perm);
-        let degs: Vec<usize> = (0..h.nodes() as NodeId).map(|v| h.out_degree(v)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]), "non-increasing degrees");
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! * [`split`] — task splitting for mega-hub nodes (paper §6.2.1),
 //! * [`bsp`] — a GraphMat-like bulk-synchronous baseline incl. the bucketed
 //!   `GMat*` variant (paper §3.1, Fig. 2/3),
-//! * [`op`] — the operator interface workloads implement,
-//! * [`par`] — a real host-parallel executor proving the framework runs as
-//!   an actual parallel program, not only under simulation.
+//! * [`op`] — the operator interface workloads implement.
 //!
 //! ## Example: running a workload under the software scheduler
 //!
@@ -45,7 +43,6 @@
 
 pub mod bsp;
 pub mod op;
-pub mod par;
 pub mod sched;
 pub mod scratch;
 pub mod sim_exec;

@@ -7,14 +7,9 @@
 
 use std::sync::Arc;
 
-use minnow::engine::offload::{MinnowConfig, MinnowScheduler};
+use minnow::algos::WorkloadKind;
+use minnow::bench::runner::BenchRun;
 use minnow::graph::gen::uniform::{self, UniformConfig};
-use minnow::graph::AddressMap;
-use minnow::runtime::sim_exec::{run, ExecConfig};
-use minnow::runtime::{Operator, SoftwareScheduler};
-use minnow::sim::MemoryHierarchy;
-
-use minnow::algos::bfs::Bfs;
 
 fn main() {
     let threads = 8;
@@ -25,48 +20,24 @@ fn main() {
         graph.nodes(),
         graph.edges()
     );
-    let cfg = ExecConfig::new(threads);
-
-    // 1. The optimized software baseline (Galois-like OBIM worklist).
-    let mut op = Bfs::new(graph.clone(), 0);
-    let policy = op.default_policy();
-    let mut mem = MemoryHierarchy::new(&cfg.sim);
-    let mut sched = SoftwareScheduler::new(policy.build(), threads);
-    let software = run(&mut op, &mut sched, &mut mem, &cfg);
-    op.check().expect("software run must be correct");
-
-    // 2. Minnow: worklist offload only.
-    let mut op = Bfs::new(graph.clone(), 0);
-    let mut mem = MemoryHierarchy::new(&cfg.sim);
-    let mut sched = MinnowScheduler::new(
-        graph.clone(),
-        AddressMap::standard(),
-        op.prefetch_kind(),
-        threads,
-        MinnowConfig::no_prefetch(0),
-    );
-    let offload = run(&mut op, &mut sched, &mut mem, &cfg);
-    op.check().expect("offload run must be correct");
-
-    // 3. Minnow + worklist-directed prefetching (32 credits).
-    let mut op = Bfs::new(graph.clone(), 0);
-    let mut mem = MemoryHierarchy::new(&cfg.sim);
-    let mut sched = MinnowScheduler::new(
-        graph,
-        AddressMap::standard(),
-        op.prefetch_kind(),
-        threads,
-        MinnowConfig::paper(0),
-    );
-    let wdp = run(&mut op, &mut sched, &mut mem, &cfg);
-    op.check().expect("WDP run must be correct");
+    // The optimized software baseline (Galois-like OBIM worklist), Minnow's
+    // worklist offload alone, and offload plus worklist-directed
+    // prefetching with the paper's 32 credits; each result is checked
+    // against a serial BFS.
+    let configs = [
+        ("software worklist", BenchRun::software_default(WorkloadKind::Bfs, threads)),
+        ("minnow offload", BenchRun::minnow(WorkloadKind::Bfs, threads)),
+        ("minnow + prefetching", BenchRun::minnow_wdp(WorkloadKind::Bfs, threads)),
+    ];
+    let reports = configs.map(|(name, run)| {
+        let (report, check) = run.execute_checked_on(graph.clone());
+        check.unwrap_or_else(|e| panic!("{name} run must be correct: {e}"));
+        (name, report)
+    });
+    let (software, wdp) = (&reports[0].1, &reports[2].1);
 
     println!("{:<26} {:>12} {:>9} {:>9}", "configuration", "cycles", "MPKI", "speedup");
-    for (name, r) in [
-        ("software worklist", &software),
-        ("minnow offload", &offload),
-        ("minnow + prefetching", &wdp),
-    ] {
+    for (name, r) in &reports {
         println!(
             "{:<26} {:>12} {:>9.1} {:>8.2}x",
             name,

@@ -2,23 +2,20 @@
 //! motivation: on high-diameter, low-degree graphs, priority ordering is
 //! worth orders of magnitude of work efficiency.
 //!
-//! Runs SSSP over the `USA-road-d.W` analogue under five schedulers
-//! (Dijkstra / delta-stepping / chunked / FIFO / LIFO), then re-runs the
-//! winner as a *real* multi-threaded program on the host via the
-//! concurrent OBIM worklist.
+//! Runs SSSP over the `USA-road-d.W` analogue under six schedulers
+//! (Dijkstra / delta-stepping at two bucket widths / chunked / FIFO /
+//! LIFO) and reports each one's work efficiency.
 //!
 //! ```sh
 //! cargo run --release --example sssp_roadnet
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use minnow::algos::sssp::Sssp;
 use minnow::graph::inputs;
-use minnow::runtime::par::parallel_for_each;
 use minnow::runtime::sim_exec::{run_software, ExecConfig};
-use minnow::runtime::{Operator, PolicyKind, Task};
+use minnow::runtime::{Operator, PolicyKind};
 
 fn main() {
     let graph = Arc::new(inputs::usa_road(1.0, 7));
@@ -64,40 +61,4 @@ fn main() {
             r.tasks as f64 / min_tasks as f64
         );
     }
-
-    // Real host-parallel run with the concurrent OBIM worklist.
-    println!("\nhost-parallel delta-stepping (4 OS threads):");
-    let dist: Vec<AtomicU64> = (0..graph.nodes()).map(|_| AtomicU64::new(u64::MAX)).collect();
-    dist[0].store(0, Ordering::SeqCst);
-    let g = graph.clone();
-    let t0 = std::time::Instant::now();
-    let executed = parallel_for_each(vec![Task::new(0, 0)], 4, 3, |task, push| {
-        let v = task.node;
-        let d = dist[v as usize].load(Ordering::SeqCst);
-        if d < task.priority {
-            return; // stale
-        }
-        for (_, u, w) in g.edges_of(v) {
-            let nd = d + w as u64;
-            let mut cur = dist[u as usize].load(Ordering::SeqCst);
-            while nd < cur {
-                match dist[u as usize].compare_exchange(cur, nd, Ordering::SeqCst, Ordering::SeqCst)
-                {
-                    Ok(_) => {
-                        push(Task::new(nd, u));
-                        break;
-                    }
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-    });
-    let host_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let reference = Sssp::reference(&graph, 0);
-    let exact = reference
-        .iter()
-        .enumerate()
-        .all(|(v, &want)| dist[v].load(Ordering::SeqCst) == want);
-    println!("  {executed} relaxation tasks in {host_ms:.1} ms — exact: {exact}");
-    assert!(exact, "host-parallel SSSP must match Dijkstra");
 }

@@ -7,7 +7,7 @@
 //!
 //! ```sh
 //! minnow-client ping
-//! minnow-client eval --workload SSSP --sched minnow-wdp --threads 8 --scale 0.1
+//! minnow-client eval --workload SSSP --sched wdp --threads 8 --scale 0.1
 //! minnow-client sweep smoke --scale 0.1 --seed 7 --out smoke.jsonl
 //! minnow-client explore smoke --strategy halving
 //! minnow-client stats
@@ -17,15 +17,17 @@
 use std::process::ExitCode;
 
 use minnow::algos::WorkloadKind;
-use minnow::bench::cli::{write_with_parents, ArgStream};
+use minnow::bench::cli::{write_with_parents, ArgStream, PointFlags};
 use minnow::bench::eval::run_to_json;
 use minnow::bench::json::JsonObject;
-use minnow::bench::runner::{BenchRun, SchedSpec};
+use minnow::bench::runner::BenchRun;
 use minnow::bench::sweep::SweepParams;
 use minnow::serve::client::{request_ok, wait_ready};
 use minnow::serve::ServeAddr;
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 usage: minnow-client [--socket ADDR] <command> [options]
 
 commands:
@@ -42,13 +44,10 @@ common:
   --wait SECS      wait up to SECS for the daemon to come up (default 0)
 
 eval flags:
-  --workload W     SSSP|BFS|G500|CC|PR|TC|BC (default BFS)
-  --sched S        software|minnow|minnow-wdp|bsp (default minnow)
-  --credits N      WDP credit budget (with --sched minnow-wdp)
-  --threads N      simulated cores (default 4)
-  --scale F        input scale factor (default 0.1)
-  --seed N         input seed (default 42)
+  --workload W     sssp|bfs|g500|cc|pr|tc|bc, any case (default BFS)
   --space NS       store namespace (default adhoc)
+{}  defaults: --threads 4 --scale 0.1 --seed 42 --sched minnow; software
+  runs use the workload's paper policy
 
 sweep options:
   --scale F --seed N --headline-threads N --max-threads N
@@ -62,7 +61,10 @@ explore options:
   --strategy KIND  grid | random | halving (default halving)
   --samples N --eta N --seed N --max-fresh N
   --out FILE       write the frontier JSONL artifact
-";
+",
+        PointFlags::USAGE
+    )
+}
 
 fn fail(e: &str) -> ExitCode {
     eprintln!("error: {e}");
@@ -86,7 +88,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             _ if command.is_none() => command = Some(arg),
@@ -94,7 +96,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(command) = command else {
-        eprintln!("error: missing command\n\n{USAGE}");
+        eprintln!("error: missing command\n\n{}", usage());
         return ExitCode::FAILURE;
     };
     if wait_secs > 0 {
@@ -110,7 +112,7 @@ fn main() -> ExitCode {
         "eval" => cmd_eval(&addr, &mut argv),
         "sweep" => cmd_sweep(&addr, &mut argv),
         "explore" => cmd_explore(&addr, &mut argv),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     };
     match outcome {
         Ok(code) => code,
@@ -167,44 +169,26 @@ fn cmd_stats(addr: &ServeAddr) -> Result<ExitCode, String> {
 }
 
 fn cmd_eval(addr: &ServeAddr, argv: &mut ArgStream) -> Result<ExitCode, String> {
-    let mut workload = "BFS".to_string();
-    let mut sched = "minnow".to_string();
-    let mut credits: Option<u32> = None;
-    let mut threads = 4usize;
-    let mut scale = 0.1f64;
-    let mut seed = 42u64;
+    let mut kind = WorkloadKind::Bfs;
     let mut space = "adhoc".to_string();
+    let mut point = PointFlags::default();
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--workload" => workload = argv.value("--workload")?,
-            "--sched" => sched = argv.value("--sched")?,
-            "--credits" => credits = Some(argv.parse("--credits")?),
-            "--threads" => threads = argv.parse_at_least("--threads", 1)? as usize,
-            "--scale" => scale = argv.parse("--scale")?,
-            "--seed" => seed = argv.parse("--seed")?,
+            "--workload" => {
+                let name = argv.value("--workload")?;
+                kind = WorkloadKind::parse(&name)
+                    .ok_or_else(|| format!("unknown workload `{name}`"))?;
+            }
             "--space" => space = argv.value("--space")?,
+            "--policy" => return Err("the daemon runs the paper policy only".into()),
+            _ if point.accept(&flag, argv)? => {}
             other => return Err(format!("unknown eval flag `{other}`")),
         }
     }
-    let kind = WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(&workload))
-        .ok_or_else(|| format!("unknown workload `{workload}`"))?;
-    let mut run = match sched.as_str() {
-        "software" => BenchRun::software_default(kind, threads),
-        "minnow" => BenchRun::minnow(kind, threads),
-        "minnow-wdp" => {
-            let mut r = BenchRun::minnow(kind, threads);
-            r.sched = SchedSpec::Minnow {
-                wdp_credits: Some(credits.unwrap_or(32)),
-            };
-            r
-        }
-        "bsp" => BenchRun::new(kind, threads, SchedSpec::Bsp(None)),
-        other => return Err(format!("unknown sched `{other}`")),
-    };
-    run.scale = scale;
-    run.seed = seed;
+    let mut run = BenchRun::minnow(kind, 4);
+    run.scale = 0.1;
+    run.seed = 42;
+    point.apply(&mut run)?;
     let line = JsonObject::new()
         .str("op", "eval")
         .str("space", &space)
@@ -215,11 +199,13 @@ fn cmd_eval(addr: &ServeAddr, argv: &mut ArgStream) -> Result<ExitCode, String> 
     let report = doc.get("report").ok_or("missing report")?;
     let cached = doc.bool_field("cached")?;
     println!(
-        "{} {} t{} scale {scale} seed {seed}: makespan {} cycles, {} tasks, \
+        "{} {} t{} scale {} seed {}: makespan {} cycles, {} tasks, \
          {} instructions, {} L2 misses{}",
         kind.name(),
         run.sched.label(),
-        threads,
+        run.threads,
+        run.scale,
+        run.seed,
         report.u64_field("makespan")?,
         report.u64_field("tasks")?,
         report.u64_field("instructions")?,

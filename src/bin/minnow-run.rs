@@ -1,219 +1,95 @@
-//! `minnow-run` — command-line driver for the simulated machine.
+//! `minnow-run` — run one simulation point and check its result.
 //!
-//! Run any paper workload under any scheduler configuration, on generated
-//! analogues or on your own graph files (DIMACS `.gr` / edge lists):
+//! Runs any paper workload under any scheduler configuration, on its
+//! generated input analogue or on a graph file, through the same
+//! [`BenchRun`] evaluation as `minnow-sweep` and `minnow-serve`, then
+//! checks the result against the workload's serial reference:
 //!
 //! ```sh
 //! minnow-run sssp --threads 16 --sched wdp
 //! minnow-run pr --scale 0.5 --sched software --policy fifo
-//! minnow-run bfs --graph my-graph.gr --sched minnow
-//! minnow-run cc --sched wdp --credits 64 --csv
-//! minnow-run bfs --reorder bfs-order   # renumber nodes before running
+//! minnow-run bfs --input my-graph.gr --sched minnow
+//! minnow-run cc --sched wdp --credits 64 --json
 //! ```
+//!
+//! `--json` prints the point as the per-point JSONL record a sweep writes
+//! (sweep `run`, id `run/<workload>/<sched>`). The exit status is 1 when
+//! the result is wrong, as well as for bad flags or an unreadable input.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use minnow::algos::WorkloadKind;
-use minnow::bench::cli::ArgStream;
-use minnow::engine::offload::{MinnowConfig, MinnowScheduler};
-use minnow::graph::{io, Csr};
-use minnow::runtime::sim_exec::{run, ExecConfig, RunReport};
-use minnow::runtime::{PolicyKind, SoftwareScheduler};
-use minnow::sim::MemoryHierarchy;
+use minnow::bench::cli::{ArgStream, InputFlags, PointFlags};
+use minnow::bench::eval::{point_record_json, EvalReport};
+use minnow::bench::runner::BenchRun;
 
-#[derive(Debug)]
-struct Args {
-    workload: WorkloadKind,
-    threads: usize,
-    scale: f64,
-    seed: u64,
-    sched: String,
-    policy: Option<String>,
-    credits: u32,
-    graph_file: Option<String>,
-    reorder: Option<String>,
-    csv: bool,
+fn usage() -> String {
+    format!(
+        "usage: minnow-run <sssp|bfs|g500|cc|pr|tc|bc> [options]\n\n\
+         options:\n{}{}{}  --json           print the sweep's per-point JSON record\n\n\
+         defaults: --threads 8 --scale 0.5 --seed 42 --sched wdp\n",
+        PointFlags::USAGE,
+        PointFlags::POLICY_USAGE,
+        InputFlags::USAGE,
+    )
 }
 
-const USAGE: &str = "\
-usage: minnow-run <sssp|bfs|g500|cc|pr|tc|bc> [options]
-
-options:
-  --threads N        simulated cores/threads (default 8)
-  --scale X          generated-input scale factor (default 0.5)
-  --seed N           generator seed (default 42)
-  --sched KIND       software | minnow | wdp  (default wdp)
-  --policy NAME      software policy: fifo|lifo|chunked|obim|strict
-                     (default: the workload's paper policy)
-  --credits N        prefetch credits for --sched wdp (default 32)
-  --graph FILE       run on a DIMACS .gr or edge-list file instead of a
-                     generated input
-  --reorder KIND     renumber nodes first: bfs-order | degree-order
-  --csv              machine-readable one-line output
-";
-
-fn parse_args() -> Result<Args, String> {
+/// The configured point and whether to print it as JSON.
+fn parse_args() -> Result<(BenchRun, bool), String> {
     let mut argv = ArgStream::from_env();
-    let workload = match argv.next().as_deref() {
-        Some("sssp") => WorkloadKind::Sssp,
-        Some("bfs") => WorkloadKind::Bfs,
-        Some("g500") => WorkloadKind::G500,
-        Some("cc") => WorkloadKind::Cc,
-        Some("pr") => WorkloadKind::Pr,
-        Some("tc") => WorkloadKind::Tc,
-        Some("bc") => WorkloadKind::Bc,
-        Some(other) => return Err(format!("unknown workload `{other}`")),
-        None => return Err("missing workload".into()),
-    };
-    let mut args = Args {
-        workload,
-        threads: 8,
-        scale: 0.5,
-        seed: 42,
-        sched: "wdp".into(),
-        policy: None,
-        credits: 32,
-        graph_file: None,
-        reorder: None,
-        csv: false,
-    };
+    let name = argv.next().ok_or("missing workload")?;
+    let kind = WorkloadKind::parse(&name).ok_or_else(|| format!("unknown workload `{name}`"))?;
+    let (mut point, mut input, mut json) = (PointFlags::default(), InputFlags::default(), false);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--threads" => args.threads = argv.parse_at_least("--threads", 1)? as usize,
-            "--scale" => args.scale = argv.parse("--scale")?,
-            "--seed" => args.seed = argv.parse("--seed")?,
-            "--sched" => args.sched = argv.value("--sched")?,
-            "--policy" => args.policy = Some(argv.value("--policy")?),
-            "--credits" => args.credits = argv.parse("--credits")?,
-            "--graph" => args.graph_file = Some(argv.value("--graph")?),
-            "--reorder" => args.reorder = Some(argv.value("--reorder")?),
-            "--csv" => args.csv = true,
+            "--json" => json = true,
+            _ if point.accept(&flag, &mut argv)? || input.accept(&flag, &mut argv)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.threads > 64 {
-        return Err("--threads must be in 1..=64".into());
-    }
-    Ok(args)
-}
-
-fn parse_policy(name: &str, default_lg: u32) -> Result<PolicyKind, String> {
-    Ok(match name {
-        "fifo" => PolicyKind::Fifo,
-        "lifo" => PolicyKind::Lifo,
-        "chunked" => PolicyKind::Chunked(16),
-        "obim" => PolicyKind::Obim(default_lg),
-        "strict" => PolicyKind::Strict,
-        other => return Err(format!("unknown policy `{other}`")),
-    })
-}
-
-fn load_graph(args: &Args) -> Result<Arc<Csr>, String> {
-    let mut graph = match &args.graph_file {
-        None => (*args.workload.input(args.scale, args.seed)).clone(),
-        Some(path) => {
-            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            if path.ends_with(".gr") {
-                io::read_dimacs(file).map_err(|e| format!("{path}: {e}"))?
-            } else {
-                io::read_edge_list(file).map_err(|e| format!("{path}: {e}"))?
-            }
-        }
-    };
-    if let Some(kind) = &args.reorder {
-        use minnow::graph::reorder;
-        let perm = match kind.as_str() {
-            "bfs-order" => reorder::bfs_order(&graph, 0),
-            "degree-order" => reorder::degree_order(&graph),
-            other => return Err(format!("unknown reorder `{other}`")),
-        };
-        graph = reorder::relabel(&graph, &perm);
-    }
-    if args.workload == WorkloadKind::Tc {
-        graph.sort_adjacency();
-    }
-    Ok(Arc::new(graph))
-}
-
-fn execute(args: &Args, graph: Arc<Csr>) -> Result<(RunReport, String), String> {
-    let mut op = args.workload.operator_on(graph.clone());
-    let cfg = ExecConfig::new(args.threads);
-    let mut mem = MemoryHierarchy::new(&cfg.sim);
-    let report = match args.sched.as_str() {
-        "software" => {
-            let policy = match &args.policy {
-                Some(p) => parse_policy(p, args.workload.lg_bucket())?,
-                None => args.workload.build_policy(),
-            };
-            let mut sched = SoftwareScheduler::new(policy.build(), args.threads);
-            run(op.as_mut(), &mut sched, &mut mem, &cfg)
-        }
-        "minnow" | "wdp" => {
-            let mut mc = MinnowConfig::paper(args.workload.lg_bucket());
-            mc.prefetch_credits = (args.sched == "wdp").then_some(args.credits);
-            let mut sched = MinnowScheduler::new(
-                graph,
-                op.address_map(),
-                op.prefetch_kind(),
-                args.threads,
-                mc,
-            );
-            run(op.as_mut(), &mut sched, &mut mem, &cfg)
-        }
-        other => return Err(format!("unknown scheduler `{other}`")),
-    };
-    let verdict = match op.check() {
-        Ok(()) => "verified".to_string(),
-        Err(e) if report.timed_out => format!("not verified (timed out): {e}"),
-        Err(e) => format!("WRONG: {e}"),
-    };
-    Ok((report, verdict))
+    let mut run = BenchRun::minnow_wdp(kind, 8);
+    run.scale = 0.5;
+    run.seed = 42;
+    point.apply(&mut run)?;
+    run.input = input.finish()?;
+    Ok((run, json))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (run, json) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let graph = match load_graph(&args) {
+    let graph = match run.try_input() {
         Ok(g) => g,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let (report, verdict) = match execute(&args, graph.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let (report, check) = run.execute_checked_on(graph.clone());
+    let verdict = match check {
+        Ok(()) => "verified".to_string(),
+        Err(e) if report.timed_out => format!("not verified (timed out): {e}"),
+        Err(e) => format!("WRONG: {e}"),
     };
 
-    if args.csv {
+    let label = run.sched.label();
+    if json {
+        let id = format!("run/{}/{label}", run.kind);
+        println!("{}", point_record_json("run", &id, &run, &EvalReport::from_report(&report)));
+        eprintln!("result: {verdict}");
+    } else {
         println!(
-            "workload,sched,threads,nodes,edges,cycles,tasks,instructions,mpki,prefetch_efficiency,verdict"
-        );
-        println!(
-            "{},{},{},{},{},{},{},{},{:.2},{:.3},{}",
-            args.workload,
-            args.sched,
-            args.threads,
+            "{} on {} nodes / {} edges, {} threads, scheduler `{label}`",
+            run.kind,
             graph.nodes(),
             graph.edges(),
-            report.makespan,
-            report.tasks,
-            report.instructions,
-            report.mpki(),
-            report.prefetch_efficiency(),
-            verdict
+            run.threads
         );
-    } else {
-        println!("{} on {} nodes / {} edges, {} threads, scheduler `{}`", args.workload, graph.nodes(), graph.edges(), args.threads, args.sched);
         println!("  cycles:       {}", report.makespan);
         println!("  tasks:        {}", report.tasks);
         println!("  instructions: {}", report.instructions);

@@ -19,11 +19,9 @@
 
 use std::process::ExitCode;
 
-use minnow_bench::cli::{write_with_parents, ArgStream};
+use minnow_bench::cli::{write_with_parents, ArgStream, InputFlags};
 use minnow_bench::runner::InputSpec;
 use minnow_bench::sweep::{run_sweep, IngestStats, Sweep, SweepConfig, SweepParams};
-use minnow_graph::image::LoadMode;
-use minnow_graph::io::GraphSource;
 
 #[derive(Debug)]
 struct Args {
@@ -36,14 +34,14 @@ struct Args {
     scale: Option<f64>,
     seed: Option<u64>,
     stdout: bool,
-    input: Option<String>,
-    input_format: Option<String>,
-    input_mode: Option<String>,
+    input: Option<InputSpec>,
     trace_out: Option<String>,
     bench_out: Option<String>,
 }
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 usage: minnow-sweep <sweep> [options]
        minnow-sweep --list
 
@@ -58,17 +56,8 @@ options:
   --seed N        sweep seed; point seeds are derived from it
                   (default: MINNOW_BENCH_SEED or 42)
   --stdout        print the JSON-lines records instead of writing files
-  --input PATH    run every point on this external graph instead of the
-                  generated inputs (edge list, Matrix Market, Graph500
-                  binary, DIMACS, or a minnow-csr-image file; format
-                  detected from the extension). Per-point JSONL records
-                  are unchanged: the same graph via text, image, or mmap
-                  yields byte-identical artifacts
-  --input-format F
-                  override format detection: edge-list | matrix-market |
-                  graph500 | dimacs | image (aliases: el, tsv, mtx, g500,
-                  bin, gr, mcsr)
-  --input-mode M  how to load an image input: auto (default) | mmap | read
+{}                  every point runs on the --input graph; the same graph
+                  via text, image, or mmap yields byte-identical artifacts
   --dry-run       print the selected points (id, workload, scheduler,
                   threads, scale, seed) without simulating anything
   --trace-out F   capture structured traces and write a Chrome
@@ -79,7 +68,10 @@ options:
                   tasks/sec, accesses/sec);
                   simulation results and the JSONL artifact are unchanged
   --list          list sweep names and point counts, then exit
-";
+",
+        InputFlags::USAGE
+    )
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -93,12 +85,11 @@ fn parse_args() -> Result<Args, String> {
         seed: None,
         stdout: false,
         input: None,
-        input_format: None,
-        input_mode: None,
         trace_out: None,
         bench_out: None,
     };
     let mut argv = ArgStream::from_env();
+    let mut input = InputFlags::default();
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--list" => args.list = true,
@@ -109,11 +100,9 @@ fn parse_args() -> Result<Args, String> {
             "--scale" => args.scale = Some(argv.parse("--scale")?),
             "--seed" => args.seed = Some(argv.parse("--seed")?),
             "--stdout" => args.stdout = true,
-            "--input" => args.input = Some(argv.value("--input")?),
-            "--input-format" => args.input_format = Some(argv.value("--input-format")?),
-            "--input-mode" => args.input_mode = Some(argv.value("--input-mode")?),
             "--trace-out" => args.trace_out = Some(argv.value("--trace-out")?),
             "--bench-out" => args.bench_out = Some(argv.value("--bench-out")?),
+            _ if input.accept(&flag, &mut argv)? => {}
             other if !other.starts_with('-') && args.sweep.is_none() => {
                 args.sweep = Some(other.to_string())
             }
@@ -123,6 +112,7 @@ fn parse_args() -> Result<Args, String> {
     if !args.list && args.sweep.is_none() {
         return Err("missing sweep name".into());
     }
+    args.input = input.finish()?;
     Ok(args)
 }
 
@@ -130,7 +120,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -154,7 +144,7 @@ fn main() -> ExitCode {
 
     let name = args.sweep.as_deref().expect("checked in parse_args");
     let Some(sweep) = Sweep::named(name, &params) else {
-        eprintln!("error: unknown sweep `{name}`\n\n{USAGE}");
+        eprintln!("error: unknown sweep `{name}`\n\n{}", usage());
         return ExitCode::FAILURE;
     };
 
@@ -169,58 +159,32 @@ fn main() -> ExitCode {
     // fails fast with one clear message, the load is timed once for the
     // bench document, and the process-wide cache is warm for every worker.
     let mut ingest_stats = None;
-    if let Some(path) = &args.input {
-        let format = match args.input_format.as_deref() {
-            None => None,
-            Some(s) => match GraphSource::parse(s) {
-                Some(f) => Some(f),
-                None => {
-                    eprintln!("error: unknown --input-format `{s}`\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let mode = match args.input_mode.as_deref() {
-            None => LoadMode::Auto,
-            Some(s) => match LoadMode::parse(s) {
-                Some(m) => m,
-                None => {
-                    eprintln!("error: unknown --input-mode `{s}`\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let spec = InputSpec {
-            path: path.into(),
-            format,
-            mode,
-        };
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    if let Some(spec) = args.input {
+        let path = spec.path.display().to_string();
+        let bytes = std::fs::metadata(&spec.path).map(|m| m.len()).unwrap_or(0);
         let t0 = std::time::Instant::now();
-        match minnow_algos::suite::file_input(&spec.path, spec.format, spec.mode, false) {
-            Ok(g) => {
-                let wall = t0.elapsed();
-                eprintln!(
-                    "input {path}: {} nodes, {} edges ({} bytes, loaded in {:.1} ms)",
-                    g.nodes(),
-                    g.edges(),
-                    bytes,
-                    wall.as_secs_f64() * 1e3
-                );
-                ingest_stats = Some(IngestStats {
-                    path: path.clone(),
-                    mode: mode.label().into(),
-                    nodes: g.nodes() as u64,
-                    edges: g.edges() as u64,
-                    bytes,
-                    wall_us: wall.as_micros() as u64,
-                });
-            }
+        let g = match minnow_algos::suite::file_input(&spec.path, spec.format, spec.mode, false) {
+            Ok(g) => g,
             Err(e) => {
                 eprintln!("error: input {path}: {e}");
                 return ExitCode::FAILURE;
             }
-        }
+        };
+        let wall = t0.elapsed();
+        eprintln!(
+            "input {path}: {} nodes, {} edges ({bytes} bytes, loaded in {:.1} ms)",
+            g.nodes(),
+            g.edges(),
+            wall.as_secs_f64() * 1e3
+        );
+        ingest_stats = Some(IngestStats {
+            path,
+            mode: spec.mode.label().into(),
+            nodes: g.nodes() as u64,
+            edges: g.edges() as u64,
+            bytes,
+            wall_us: wall.as_micros() as u64,
+        });
         cfg.input = Some(spec);
     }
 
