@@ -16,8 +16,7 @@ use minnow_sim::hierarchy::MemoryHierarchy;
 fn run_with(kind: WorkloadKind, threads: usize, mc: MinnowConfig) -> u64 {
     let graph = BenchRun::minnow(kind, threads).input();
     let mut op = kind.operator_on(graph.clone());
-    let mut cfg = ExecConfig::new(threads);
-    cfg.task_limit = 20_000_000;
+    let cfg = ExecConfig::new(threads);
     let mut mem = MemoryHierarchy::new(&cfg.sim);
     let mut sched =
         MinnowScheduler::new(graph, op.address_map(), op.prefetch_kind(), threads, mc);

@@ -11,7 +11,9 @@ use minnow_graph::image::GraphImage;
 use minnow_graph::Csr;
 use minnow_prefetch::{Imp, StridePrefetcher};
 use minnow_runtime::bsp::{run_bsp, BspConfig};
-use minnow_runtime::sim_exec::{run, run_with_prefetcher, ExecConfig, RunReport};
+use minnow_runtime::sim_exec::{
+    run, run_with_prefetcher, ExecConfig, RunReport, DEFAULT_TASK_LIMIT,
+};
 use minnow_runtime::{Operator, PolicyKind, SoftwareScheduler};
 use minnow_sim::core::CoreMode;
 use minnow_sim::hierarchy::MemoryHierarchy;
@@ -137,7 +139,7 @@ impl BenchRun {
             rob: None,
             l2: None,
             engine: None,
-            task_limit: 20_000_000,
+            task_limit: DEFAULT_TASK_LIMIT,
             serial_baseline: false,
         }
     }

@@ -114,37 +114,48 @@ impl Csr {
     /// Panics if any endpoint is `>= nodes`, or if `weights` is `Some` with a
     /// length different from `edges.len()`.
     pub fn from_edges(nodes: usize, edges: &[(NodeId, NodeId)], weights: Option<&[u32]>) -> Self {
+        Csr::from_edges_in(Vec::with_capacity(nodes + 1), nodes, edges, weights)
+    }
+
+    /// [`Csr::from_edges`] with the row pointers built in `row_ptr`, an
+    /// empty vector with room for `nodes + 1` entries, so that a caller can
+    /// refuse a node count whose row pointers do not fit in memory.
+    pub(crate) fn from_edges_in(
+        mut row_ptr: Vec<u64>,
+        nodes: usize,
+        edges: &[(NodeId, NodeId)],
+        weights: Option<&[u32]>,
+    ) -> Self {
         if let Some(w) = weights {
             assert_eq!(w.len(), edges.len(), "one weight per edge required");
         }
-        let mut degree = vec![0u64; nodes];
+        row_ptr.resize(nodes + 1, 0);
         for &(u, v) in edges {
             assert!((u as usize) < nodes, "source {u} out of range");
             assert!((v as usize) < nodes, "target {v} out of range");
-            degree[u as usize] += 1;
+            row_ptr[u as usize + 1] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(nodes + 1);
-        let mut acc = 0u64;
-        row_ptr.push(0);
-        for d in &degree {
-            acc += d;
-            row_ptr.push(acc);
+        for v in 1..=nodes {
+            row_ptr[v] += row_ptr[v - 1];
         }
-        let mut cursor: Vec<u64> = row_ptr[..nodes].to_vec();
         let mut col = vec![0 as NodeId; edges.len()];
         let mut out_w = if weights.is_some() {
             vec![0u32; edges.len()]
         } else {
             Vec::new()
         };
+        // `row_ptr[u]` serves as node u's cursor, and ends at its row's
+        // end, the start of row u + 1.
         for (i, &(u, v)) in edges.iter().enumerate() {
-            let slot = cursor[u as usize] as usize;
+            let slot = row_ptr[u as usize] as usize;
             col[slot] = v;
             if let Some(w) = weights {
                 out_w[slot] = w[i];
             }
-            cursor[u as usize] += 1;
+            row_ptr[u as usize] += 1;
         }
+        row_ptr.copy_within(..nodes, 1);
+        row_ptr[0] = 0;
         Csr {
             store: Store::Owned {
                 row_ptr,
@@ -471,14 +482,28 @@ impl Csr {
     /// [`Csr::validate`], plus, when `sorted` is claimed, that every
     /// adjacency list really is ascending, in one pass over `col`.
     fn check(&self, sorted: bool) -> Result<(), String> {
-        let mut check = Check::new(self.row_ptr(), self.edges(), sorted);
-        check.feed(self.col());
-        check.finish(self.weights().len())
+        let col = self.col();
+        let mut check = Check::new(self.row_ptr(), col.len(), sorted);
+        for piece in col.chunks(PIECE) {
+            check.feed(piece);
+        }
+        check.finish(col, self.weights().len())
     }
 }
 
+/// Columns [`Csr::check`] feeds at a time, one image block's worth: the row
+/// starts inside a piece are then read from cache.
+const PIECE: usize = crate::image::BLOCK_BYTES / std::mem::size_of::<NodeId>();
+
 /// The CSR invariant checks, made in one pass over `col`, which may arrive
 /// in consecutive pieces.
+///
+/// The pass is two branch-free reductions that vectorise: whether any
+/// column is out of range, and, when `sorted` is claimed, how many
+/// descents `col[i] < col[i-1]` there are, less those that fall where a
+/// non-empty row starts, which are legal. [`Check::finish`] rescans `col`
+/// only when a column is out of range or a descent is left, and names the
+/// fault from that scan, so the messages are those of a row-by-row pass.
 ///
 /// Faults are reported in a fixed order whatever order the pass meets
 /// them in: `row_ptr` faults, then the first out-of-range column, then a
@@ -489,17 +514,19 @@ pub(crate) struct Check<'a> {
     /// Node count, as the column bound.
     n: NodeId,
     sorted: bool,
-    /// The first `row_ptr` or column fault; stops the pass.
-    fault: Option<String>,
-    /// The first node whose adjacency descends somewhere.
-    unsorted: Option<usize>,
+    /// The `row_ptr` fault; the pass is skipped.
+    fault: Option<&'static str>,
+    /// Whether a column fed is `n` or more.
+    over: bool,
+    /// Descents fed, less those at the start of a non-empty row: zero
+    /// when every row is ascending.
+    descents: u64,
     /// Index in `col` of the next entry fed.
     at: usize,
-    /// The node owning entry `at`, and where its row ends.
-    node: usize,
-    row_end: usize,
-    /// The last entry fed in the current row (0 at a row's start).
-    prev: NodeId,
+    /// The last entry fed (0 before the first, so entry 0 is no descent).
+    last: NodeId,
+    /// The next `row_ptr` entry whose row start the pass has not reached.
+    row: usize,
 }
 
 impl<'a> Check<'a> {
@@ -521,70 +548,94 @@ impl<'a> Check<'a> {
             row_ptr,
             n: row_ptr.len().saturating_sub(1) as NodeId,
             sorted,
-            fault: fault.map(String::from),
-            unsorted: None,
+            fault,
+            over: false,
+            descents: 0,
             at: 0,
-            node: 0,
-            // Every entry is at most `edges` once `row_ptr` checks out.
-            row_end: row_ptr.get(1).map_or(0, |&end| end as usize),
-            prev: 0,
+            last: 0,
+            row: 1,
         }
     }
 
     /// Checks the next piece of `col`.
-    pub(crate) fn feed(&mut self, col: &[NodeId]) {
+    pub(crate) fn feed(&mut self, piece: &[NodeId]) {
+        let Some(&last) = piece.last() else {
+            return;
+        };
         if self.fault.is_some() {
             return;
         }
-        let n = self.n;
-        if !self.sorted {
-            if let Some(bad) = col.iter().find(|&&c| c >= n) {
-                self.fault = Some(format!("column {bad} out of range (n={n})"));
+        let (over, descents) = fold(self.n, self.last, piece);
+        self.over |= over;
+        if self.sorted {
+            // `row_ptr` is non-decreasing and ends at `col`'s length, so the
+            // starts below this piece's end that earlier pieces left all
+            // fall inside it. Each new start value is a non-empty row's.
+            let rows = self.row_ptr;
+            let end = (self.at + piece.len()) as u64;
+            let mut legal = 0;
+            let mut v = self.row;
+            while v < rows.len() && rows[v] < end {
+                let i = (rows[v] - self.at as u64) as usize;
+                let prev = if i == 0 { self.last } else { piece[i - 1] };
+                legal += u64::from(rows[v] > rows[v - 1]) & u64::from(piece[i] < prev);
+                v += 1;
             }
-            return;
+            self.row = v;
+            self.descents += descents - legal;
         }
-        let mut rest = col;
-        while !rest.is_empty() {
-            // Entries remain, so `at` is below the last row end and the
-            // node owning it exists.
-            while self.row_end <= self.at {
-                self.node += 1;
-                self.row_end = self.row_ptr[self.node + 1] as usize;
-                self.prev = 0;
-            }
-            let (row, tail) = rest.split_at((self.row_end - self.at).min(rest.len()));
-            let mut prev = self.prev;
-            let mut descends = false;
-            for &c in row {
-                if c >= n {
-                    self.fault = Some(format!("column {c} out of range (n={n})"));
-                    return;
-                }
-                descends |= c < prev;
-                prev = c;
-            }
-            if descends && self.unsorted.is_none() {
-                self.unsorted = Some(self.node);
-            }
-            self.prev = prev;
-            self.at += row.len();
-            rest = tail;
-        }
+        self.last = last;
+        self.at += piece.len();
     }
 
-    /// The first fault, given the weights section's length.
-    pub(crate) fn finish(self, weights: usize) -> Result<(), String> {
+    /// The first fault, given the whole of `col` fed and the weights
+    /// section's length.
+    pub(crate) fn finish(self, col: &[NodeId], weights: usize) -> Result<(), String> {
         if let Some(fault) = self.fault {
-            return Err(fault);
+            return Err(fault.into());
         }
-        if weights != 0 && weights as u64 != self.row_ptr[self.row_ptr.len() - 1] {
+        debug_assert_eq!(self.at, col.len(), "every column is fed");
+        let n = self.n;
+        if self.over {
+            if let Some(bad) = col.iter().find(|&&c| c >= n) {
+                return Err(format!("column {bad} out of range (n={n})"));
+            }
+        }
+        if weights != 0 && weights != col.len() {
             return Err("weights length must match edges".into());
         }
-        match self.unsorted {
-            Some(v) => Err(format!("adjacency of node {v} is not sorted")),
-            None => Ok(()),
+        if self.descents != 0 {
+            let unsorted = self.row_ptr.windows(2).position(|w| {
+                col[w[0] as usize..w[1] as usize]
+                    .windows(2)
+                    .any(|p| p[1] < p[0])
+            });
+            if let Some(v) = unsorted {
+                return Err(format!("adjacency of node {v} is not sorted"));
+            }
         }
+        Ok(())
     }
+}
+
+/// Whether `piece` holds an entry of `n` or more, and how many descents
+/// `piece[i] < piece[i-1]` it has, `piece[0] < last` included. The loop
+/// has no branch, and the compiler vectorises it.
+fn fold(n: NodeId, last: NodeId, piece: &[NodeId]) -> (bool, u64) {
+    /// Entries per block: a block's `u32` count cannot overflow.
+    const BLOCK: usize = 1 << 20;
+    let (cur, prev) = (&piece[1..], &piece[..piece.len() - 1]);
+    let mut over = u32::from(piece[0] >= n);
+    let mut descents = u64::from(piece[0] < last);
+    for (cur, prev) in cur.chunks(BLOCK).zip(prev.chunks(BLOCK)) {
+        let mut down = 0u32;
+        for (&c, &p) in cur.iter().zip(prev) {
+            over |= u32::from(c >= n);
+            down += u32::from(c < p);
+        }
+        descents += u64::from(down);
+    }
+    (over != 0, descents)
 }
 
 #[cfg(test)]
@@ -722,6 +773,151 @@ mod tests {
         assert!(Csr::from_parts(vec![0, 2, 2], vec![1, 0], vec![], false).is_ok());
     }
 
+    /// The per-row pass [`Check`] replaced, kept as the reference its
+    /// reductions must agree with: it walks each row, stops at the first
+    /// out-of-range column and remembers the first row that descends.
+    struct RowCheck<'a> {
+        row_ptr: &'a [u64],
+        n: NodeId,
+        sorted: bool,
+        fault: Option<String>,
+        unsorted: Option<usize>,
+        at: usize,
+        node: usize,
+        row_end: usize,
+        prev: NodeId,
+    }
+
+    impl<'a> RowCheck<'a> {
+        fn new(row_ptr: &'a [u64], edges: usize, sorted: bool) -> RowCheck<'a> {
+            let fault = if row_ptr.is_empty() {
+                Some("row_ptr must have at least one entry")
+            } else if row_ptr[0] != 0 {
+                Some("row_ptr must start at 0")
+            } else if row_ptr[row_ptr.len() - 1] != edges as u64 {
+                Some("row_ptr must end at edge count")
+            } else if row_ptr.windows(2).any(|w| w[0] > w[1]) {
+                Some("row_ptr must be non-decreasing")
+            } else {
+                None
+            };
+            RowCheck {
+                row_ptr,
+                n: row_ptr.len().saturating_sub(1) as NodeId,
+                sorted,
+                fault: fault.map(String::from),
+                unsorted: None,
+                at: 0,
+                node: 0,
+                row_end: row_ptr.get(1).map_or(0, |&end| end as usize),
+                prev: 0,
+            }
+        }
+
+        fn feed(&mut self, col: &[NodeId]) {
+            if self.fault.is_some() {
+                return;
+            }
+            let n = self.n;
+            if !self.sorted {
+                if let Some(bad) = col.iter().find(|&&c| c >= n) {
+                    self.fault = Some(format!("column {bad} out of range (n={n})"));
+                }
+                return;
+            }
+            let mut rest = col;
+            while !rest.is_empty() {
+                while self.row_end <= self.at {
+                    self.node += 1;
+                    self.row_end = self.row_ptr[self.node + 1] as usize;
+                    self.prev = 0;
+                }
+                let (row, tail) = rest.split_at((self.row_end - self.at).min(rest.len()));
+                let mut prev = self.prev;
+                let mut descends = false;
+                for &c in row {
+                    if c >= n {
+                        self.fault = Some(format!("column {c} out of range (n={n})"));
+                        return;
+                    }
+                    descends |= c < prev;
+                    prev = c;
+                }
+                if descends && self.unsorted.is_none() {
+                    self.unsorted = Some(self.node);
+                }
+                self.prev = prev;
+                self.at += row.len();
+                rest = tail;
+            }
+        }
+
+        fn finish(self, weights: usize) -> Result<(), String> {
+            if let Some(fault) = self.fault {
+                return Err(fault);
+            }
+            if weights != 0 && weights as u64 != self.row_ptr[self.row_ptr.len() - 1] {
+                return Err("weights length must match edges".into());
+            }
+            match self.unsorted {
+                Some(v) => Err(format!("adjacency of node {v} is not sorted")),
+                None => Ok(()),
+            }
+        }
+    }
+
+    fn reference(
+        row_ptr: &[u64],
+        col: &[NodeId],
+        weights: usize,
+        sorted: bool,
+    ) -> Result<(), String> {
+        let mut check = RowCheck::new(row_ptr, col.len(), sorted);
+        check.feed(col);
+        check.finish(weights)
+    }
+
+    /// [`Check`] fed `col` in the pieces that `cuts` (ascending) end, and
+    /// the descents it left for `finish` to rescan.
+    fn checked(
+        row_ptr: &[u64],
+        col: &[NodeId],
+        weights: usize,
+        sorted: bool,
+        cuts: &[usize],
+    ) -> (Result<(), String>, u64) {
+        let mut check = Check::new(row_ptr, col.len(), sorted);
+        let mut from = 0;
+        for &cut in cuts.iter().chain([&col.len()]) {
+            check.feed(&col[from..cut]);
+            from = cut;
+        }
+        let left = check.descents;
+        (check.finish(col, weights), left)
+    }
+
+    /// Every cut of `col` into three pieces gives the reference's result,
+    /// and a valid sorted CSR leaves no descent to rescan.
+    fn agrees_in_any_pieces(
+        row_ptr: &[u64],
+        col: &[NodeId],
+        weights: usize,
+        sorted: bool,
+    ) -> Result<(), String> {
+        let want = reference(row_ptr, col, weights, sorted);
+        for i in 0..=col.len() {
+            for j in i..=col.len() {
+                let (got, left) = checked(row_ptr, col, weights, sorted, &[i, j]);
+                let at = format!("{row_ptr:?} {col:?} w={weights} sorted={sorted} cut at {i}, {j}");
+                assert_eq!(got, want, "{at}");
+                if want.is_ok() {
+                    assert_eq!(left, 0, "{at}");
+                }
+            }
+        }
+        want
+    }
+
     #[test]
     fn check_reports_faults_in_a_fixed_order_in_any_pieces() {
         // Node 0's row descends before node 2's column 7 is out of range;
@@ -753,24 +949,149 @@ mod tests {
             (&[1, 2, 0, 1], 4, true, Ok(())),
         ];
         for (col, weights, sorted, want) in cases {
-            for split in 0..=col.len() {
-                let mut check = Check::new(&row_ptr, col.len(), sorted);
-                check.feed(&col[..split]);
-                check.feed(&col[split..]);
-                let got = check.finish(weights);
-                assert_eq!(
-                    got.as_ref().map_err(String::as_str),
-                    want.as_ref().map_err(|e| *e),
-                    "{col:?} at {split}"
-                );
-            }
+            let got = agrees_in_any_pieces(&row_ptr, col, weights, sorted);
+            assert_eq!(
+                got.as_ref().map_err(String::as_str),
+                want.as_ref().map_err(|e| *e),
+                "{col:?}"
+            );
         }
-        let mut check = Check::new(&[0, 3], 2, true);
-        check.feed(&[0, 0]);
         assert_eq!(
-            check.finish(0),
+            checked(&[0, 3], &[0, 0], 0, true, &[1]).0,
             Err("row_ptr must end at edge count".into())
         );
+    }
+
+    #[test]
+    fn check_agrees_with_the_row_pass_on_each_injected_fault() {
+        // (row_ptr, col, weights length, the result) with `sorted` claimed.
+        type Case = (
+            &'static [u64],
+            &'static [NodeId],
+            usize,
+            Result<(), &'static str>,
+        );
+        let cases: [Case; 14] = [
+            // Ascending rows, each dropping at its start (legal), with
+            // empty rows leading, inside and trailing.
+            (
+                &[0, 0, 0, 3, 3, 5, 7, 7, 7],
+                &[2, 4, 7, 0, 1, 0, 7],
+                7,
+                Ok(()),
+            ),
+            // Equal neighbours do not descend.
+            (
+                &[0, 3, 3],
+                &[1, 1, 0],
+                0,
+                Err("adjacency of node 0 is not sorted"),
+            ),
+            (&[0, 3, 3], &[0, 1, 1], 0, Ok(())),
+            // A descent inside a row after an empty row.
+            (
+                &[0, 0, 2, 4],
+                &[1, 2, 2, 1],
+                0,
+                Err("adjacency of node 2 is not sorted"),
+            ),
+            // A descent across an empty row is a row start: legal.
+            (&[0, 2, 2, 4], &[1, 2, 0, 1], 0, Ok(())),
+            // Out of range, first in `col` order, beats a descent before it.
+            (
+                &[0, 2, 3],
+                &[1, 0, 9],
+                0,
+                Err("column 9 out of range (n=2)"),
+            ),
+            (
+                &[0, 2, 3],
+                &[5, 3, 9],
+                0,
+                Err("column 5 out of range (n=2)"),
+            ),
+            // The weights length, after range and before order.
+            (
+                &[0, 2, 2],
+                &[1, 0],
+                3,
+                Err("weights length must match edges"),
+            ),
+            (
+                &[0, 2, 2],
+                &[1, 1],
+                1,
+                Err("weights length must match edges"),
+            ),
+            // Each `row_ptr` fault, before everything in `col`.
+            (&[], &[], 0, Err("row_ptr must have at least one entry")),
+            (&[1, 2], &[9, 0], 0, Err("row_ptr must start at 0")),
+            (&[0, 1], &[9, 0], 0, Err("row_ptr must end at edge count")),
+            (
+                &[0, 2, 1, 2],
+                &[9, 0],
+                0,
+                Err("row_ptr must be non-decreasing"),
+            ),
+            // No edges at all.
+            (&[0, 0, 0], &[], 0, Ok(())),
+        ];
+        for (row_ptr, col, weights, want) in cases {
+            let got = agrees_in_any_pieces(row_ptr, col, weights, true);
+            assert_eq!(
+                got.as_ref().map_err(String::as_str),
+                want.as_ref().map_err(|e| *e),
+                "{row_ptr:?} {col:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Random CSRs, some rows sorted, some columns out of range, some
+        /// weights lengths and `row_ptr`s broken: every cut into pieces
+        /// gives the row pass's result, text and all.
+        #[test]
+        fn check_agrees_with_the_row_pass(
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..1000, 0..6), 0..10),
+            order in 0usize..3,
+            mask in 0u32..1024,
+            range in 0usize..4,
+            weights in 0usize..4,
+            fault in 0usize..8,
+            sorted in 0usize..4,
+        ) {
+            let n = rows.len() as u32;
+            let mut row_ptr = vec![0u64];
+            let mut col = Vec::new();
+            for (v, row) in rows.iter().enumerate() {
+                // One case in four may hold columns up to n + 1.
+                let bound = if range == 0 { n + 2 } else { n.max(1) };
+                let mut row: Vec<NodeId> = row.iter().map(|&c| c % bound).collect();
+                // All rows ascending, some, or none sorted.
+                if order == 0 || (order == 1 && mask >> v & 1 == 1) {
+                    row.sort_unstable();
+                }
+                col.extend(row);
+                row_ptr.push(col.len() as u64);
+            }
+            let edges = col.len();
+            match fault {
+                0 => row_ptr.clear(),
+                1 => row_ptr[0] = 1,
+                2 => *row_ptr.last_mut().unwrap() += 1,
+                3 if row_ptr.len() > 2 => row_ptr[1] = edges as u64 + 1,
+                _ => {}
+            }
+            let weights = match weights {
+                0 => 0,
+                1 => edges + 1,
+                2 => edges.saturating_sub(1),
+                _ => edges,
+            };
+            let _ = agrees_in_any_pieces(&row_ptr, &col, weights, sorted != 0);
+        }
     }
 
     #[test]

@@ -67,6 +67,15 @@
 //! was cleared loads as an unsorted graph. Both versions share every other
 //! step of a load, and a checksum mismatch is reported before an invalid
 //! CSR.
+//!
+//! ## Loading
+//!
+//! A mapped load hashes the sections on a second CPU, when there is one,
+//! while this thread runs the CSR checks over the mapping. A buffered load
+//! reads each 64 KiB block straight into its section vector, then hashes
+//! it and checks it while it is in cache, on one thread. The checks are
+//! the branch-free reductions of the crate's `Check`: they rescan `col`
+//! only to name a fault they found.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
@@ -485,22 +494,52 @@ fn write_words<T: Copy, const N: usize>(
     for_each_block(values, encode, |block| w.write_all(block))
 }
 
-/// Fills `out` with little-endian words read a `block` at a time, adds
-/// each block's bytes to `digest` and hands its words to `each`.
-fn read_words<T, const N: usize>(
+/// A section's word type, whose bytes in memory are its little-endian
+/// encoding once [`Word::from_le`] has run over them. Only `u32` and
+/// `u64` implement it.
+trait Word: Copy {
+    fn from_le(word: Self) -> Self;
+}
+
+impl Word for u32 {
+    fn from_le(word: u32) -> u32 {
+        u32::from_le(word)
+    }
+}
+
+impl Word for u64 {
+    fn from_le(word: u64) -> u64 {
+        u64::from_le(word)
+    }
+}
+
+/// The bytes of `words` in memory, to be written over.
+fn bytes_mut<T: Word>(words: &mut [T]) -> &mut [u8] {
+    let len = std::mem::size_of_val(words);
+    // SAFETY: a `Word` is a `u32` or a `u64`, which have no padding and
+    // for which every byte pattern is a valid value, so the bytes are
+    // initialised and whatever is written to them leaves valid words. The
+    // view covers exactly the slice's `len` bytes, `u8` needs no
+    // alignment, and it borrows `words` mutably for its lifetime.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), len) }
+}
+
+/// Fills `out` with little-endian words read straight into it,
+/// [`BLOCK_BYTES`] at a time; adds each block's bytes to `digest` and
+/// hands its words to `each`.
+fn read_words<T: Word>(
     r: &mut impl Read,
-    block: &mut [u8],
     out: &mut [T],
-    decode: fn([u8; N]) -> T,
     digest: &mut impl Digest,
     mut each: impl FnMut(&[T]),
 ) -> io::Result<()> {
-    for words in out.chunks_mut(block.len() / N) {
-        let bytes = &mut block[..words.len() * N];
+    for words in out.chunks_mut(BLOCK_BYTES / std::mem::size_of::<T>()) {
+        let bytes = bytes_mut(words);
         r.read_exact(bytes)?;
         digest.update(bytes);
-        for (word, raw) in words.iter_mut().zip(bytes.chunks_exact(N)) {
-            *word = decode(raw.try_into().expect("chunks_exact yields N bytes"));
+        // A no-op on little-endian hosts.
+        for word in words.iter_mut() {
+            *word = T::from_le(*word);
         }
         each(words);
     }
@@ -695,9 +734,10 @@ fn load_mapped<D: Digest>(
     graph.map_err(invalid_csr)
 }
 
-/// The buffered path: each section is read a block at a time, each block
-/// hashed as read and decoded into its section, and `col` checked as it is
-/// decoded. A checksum mismatch is still reported before an invalid CSR.
+/// The buffered path: each section is read a block at a time straight
+/// into its vector, each block hashed as read, and `col` checked a block
+/// at a time while the block is in cache. A checksum mismatch is still
+/// reported before an invalid CSR.
 fn load_buffered<D: Digest>(mut file: File, header: &Header) -> Result<Csr, ParseError> {
     let edges = header.edges as usize;
     let mut row_ptr = vec![0u64; header.nodes as usize + 1];
@@ -705,34 +745,12 @@ fn load_buffered<D: Digest>(mut file: File, header: &Header) -> Result<Csr, Pars
     let w_count = if header.weighted { edges } else { 0 };
     let mut weights = vec![0u32; w_count];
     let mut digests = [D::new(); 3];
-    let mut block = vec![0u8; BLOCK_BYTES];
     let [row_digest, col_digest, w_digest] = &mut digests;
-    read_words(
-        &mut file,
-        &mut block,
-        &mut row_ptr,
-        u64::from_le_bytes,
-        row_digest,
-        |_| {},
-    )?;
+    read_words(&mut file, &mut row_ptr, row_digest, |_| {})?;
     let mut check = Check::new(&row_ptr, edges, header.sorted);
-    read_words(
-        &mut file,
-        &mut block,
-        &mut col,
-        u32::from_le_bytes,
-        col_digest,
-        |words| check.feed(words),
-    )?;
-    read_words(
-        &mut file,
-        &mut block,
-        &mut weights,
-        u32::from_le_bytes,
-        w_digest,
-        |_| {},
-    )?;
-    let checked = check.finish(w_count);
+    read_words(&mut file, &mut col, col_digest, |words| check.feed(words))?;
+    read_words(&mut file, &mut weights, w_digest, |_| {})?;
+    let checked = check.finish(&col, w_count);
     header.verify(digests.map(D::finish))?;
     checked.map_err(invalid_csr)?;
     Ok(Csr::from_checked_parts(
@@ -823,6 +841,121 @@ mod tests {
         for len in [1, 7, 9, 40] {
             assert_ne!(digest(&bytes[..len]), digest(&bytes[..len - 1]), "len {len}");
         }
+    }
+
+    #[test]
+    fn word_views_cover_exactly_their_slice() {
+        let mut none: [u32; 0] = [];
+        assert!(bytes_mut(&mut none).is_empty());
+        let mut words = [0u32; 3];
+        let bytes = bytes_mut(&mut words);
+        assert_eq!(bytes.len(), 12);
+        bytes.copy_from_slice(&[1, 0, 0, 0, 0, 1, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        for word in &mut words {
+            *word = Word::from_le(*word);
+        }
+        assert_eq!(words, [1, 256, u32::MAX]);
+        // A view of a sub-slice writes that range and nothing around it.
+        let mut longs = [7u64; 4];
+        let raw: Vec<u8> = (1..=16).collect();
+        bytes_mut(&mut longs[1..3]).copy_from_slice(&raw);
+        for word in &mut longs {
+            *word = Word::from_le(*word);
+        }
+        let le = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        assert_eq!(longs, [7, le(&raw[..8]), le(&raw[8..]), 7]);
+    }
+
+    #[test]
+    fn read_words_fills_every_block_and_refuses_a_short_section() {
+        let per_block = BLOCK_BYTES / 4;
+        let values: Vec<u32> = (0..2 * per_block as u32 + 5)
+            .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let raw: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut out = vec![0u32; values.len()];
+        let mut digest = WordHash::new();
+        let mut pieces = Vec::new();
+        read_words(&mut &raw[..], &mut out, &mut digest, |w| {
+            pieces.push(w.len())
+        })
+        .unwrap();
+        assert_eq!(out, values);
+        assert_eq!(pieces, [per_block, per_block, 5]);
+        let mut whole = WordHash::new();
+        whole.update(&raw);
+        assert_eq!(digest.finish(), whole.finish());
+
+        let mut out = vec![0u32; values.len()];
+        let short = &raw[..raw.len() - 1];
+        let err = read_words(&mut &short[..], &mut out, &mut WordHash::new(), |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A v2 image of the raw sections, digests and all, whatever they
+    /// hold: the way to an image that is intact but not a valid CSR.
+    fn sealed_image(path: &Path, row_ptr: &[u64], col: &[u32], sorted: bool) {
+        let header = Header::seal(
+            false,
+            sorted,
+            row_ptr.len() as u64 - 1,
+            col.len() as u64,
+            [
+                SectionDigest::of(row_ptr, u64::to_le_bytes),
+                SectionDigest::of(col, u32::to_le_bytes),
+                SectionDigest::new(),
+            ],
+        );
+        let mut bytes = header.encode().to_vec();
+        bytes.extend(row_ptr.iter().flat_map(|v| v.to_le_bytes()));
+        bytes.extend(col.iter().flat_map(|v| v.to_le_bytes()));
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn an_intact_image_of_an_invalid_csr_is_refused_in_every_mode() {
+        let path = temp_path("invalid-csr");
+        // (row_ptr, col, the message) with `sorted` claimed. Row 1 is
+        // empty; node 2's row starts below node 0's last column (legal).
+        type Case = (&'static [u64], &'static [u32], &'static str);
+        let cases: [Case; 4] = [
+            (&[0, 2, 2, 4], &[1, 2, 3, 1], "column 3 out of range (n=3)"),
+            (
+                &[0, 2, 2, 4],
+                &[1, 2, 2, 1],
+                "adjacency of node 2 is not sorted",
+            ),
+            // Out of range is reported before the earlier descent.
+            (&[0, 2, 2, 4], &[2, 1, 0, 7], "column 7 out of range (n=3)"),
+            (
+                &[0, 2, 4, 4],
+                &[1, 2, 1, 0],
+                "adjacency of node 1 is not sorted",
+            ),
+        ];
+        let modes: &[LoadMode] = if cfg!(unix) {
+            &[LoadMode::Read, LoadMode::Mmap, LoadMode::Auto]
+        } else {
+            &[LoadMode::Read, LoadMode::Auto]
+        };
+        for (row_ptr, col, want) in cases {
+            sealed_image(&path, row_ptr, col, true);
+            for &mode in modes {
+                let err = load_image(&path, mode).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("csr image error: invalid CSR in image: {want}"),
+                    "{mode:?}"
+                );
+            }
+        }
+        // The same rows without the claim load, descents and all.
+        sealed_image(&path, &[0, 2, 2, 4], &[1, 2, 2, 1], false);
+        for &mode in modes {
+            let g = load_image(&path, mode).unwrap();
+            assert_eq!(g.neighbors(2), &[2, 1]);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::csr::{Csr, NodeId};
 use crate::image;
-use crate::io::{stream_edges, GraphSource, ParseError};
+use crate::io::{row_ptr_for, stream_edges, GraphSource, ParseError};
 use crate::pipeline::Relay;
 
 /// Knobs for one ingestion pass.
@@ -533,16 +533,16 @@ struct Builder {
 }
 
 impl Builder {
-    fn new(nodes: u64, dedup: bool) -> Builder {
-        let mut row_ptr = Vec::with_capacity(nodes as usize + 1);
+    fn new(nodes: u64, dedup: bool) -> Result<Builder, ParseError> {
+        let mut row_ptr = row_ptr_for(nodes)?;
         row_ptr.push(0);
-        Builder {
+        Ok(Builder {
             row_ptr,
             kept: 0,
             last: None,
             dedup,
             nodes,
-        }
+        })
     }
 
     /// Processes one merged edge; returns whether to keep it.
@@ -730,7 +730,7 @@ pub fn ingest_to_csr<R: Read>(
 ) -> Result<(Csr, IngestReport), ParseError> {
     let mut intake = fill(source, reader, opts)?;
     let weighted = intake.weighted;
-    let mut builder = Builder::new(intake.nodes, opts.dedup);
+    let mut builder = Builder::new(intake.nodes, opts.dedup)?;
     let mut col: Vec<NodeId> = Vec::new();
     let mut weights: Vec<u32> = Vec::new();
     let runs = merge(&mut intake, |u, v, w| {
@@ -809,7 +809,7 @@ fn ingest_to_image_inner(
     } else {
         None
     };
-    let mut builder = Builder::new(intake.nodes, opts.dedup);
+    let mut builder = Builder::new(intake.nodes, opts.dedup)?;
     let runs = merge(&mut intake, |u, v, w| {
         if builder.accept(u, v) {
             col_out.push(v)?;

@@ -210,6 +210,26 @@ fn check_declared_nodes(lineno: usize, n: u64) -> Result<u64, ParseError> {
     Ok(n)
 }
 
+/// An empty row-pointer array with room for `nodes + 1` entries, or an
+/// [`std::io::ErrorKind::OutOfMemory`] error when that memory cannot be
+/// had. Readers size `row_ptr` by a node count that a header may declare,
+/// so a count the id range allows but memory does not is refused here
+/// instead of aborting the process.
+pub(crate) fn row_ptr_for(nodes: u64) -> Result<Vec<u64>, ParseError> {
+    let mut row_ptr = Vec::new();
+    let entries = usize::try_from(nodes).ok().and_then(|n| n.checked_add(1));
+    match entries.map(|n| row_ptr.try_reserve_exact(n)) {
+        Some(Ok(())) => Ok(row_ptr),
+        _ => Err(ParseError::Io(std::io::Error::new(
+            std::io::ErrorKind::OutOfMemory,
+            format!(
+                "cannot allocate the row pointers of {nodes} nodes ({} bytes)",
+                u128::from(nodes) * 8 + 8
+            ),
+        ))),
+    }
+}
+
 /// The lines of a text input split exactly as [`BufRead::lines`] splits
 /// them (`\n` terminators, one `\r` before a terminator stripped, an
 /// unterminated last line kept), without a fresh `String` per line: a line
@@ -632,12 +652,14 @@ fn collect_stream<R: Read>(source: GraphSource, reader: R) -> Result<Csr, ParseE
         Ok(())
     })?;
     let seen = if edges.is_empty() { 0 } else { max_node + 1 };
-    let n = info.declared_nodes.unwrap_or(0).max(seen) as usize;
-    Ok(if info.weighted {
-        Csr::from_edges(n, &edges, Some(&weights))
-    } else {
-        Csr::from_edges(n, &edges, None)
-    })
+    let n = info.declared_nodes.unwrap_or(0).max(seen);
+    let weights = info.weighted.then_some(&weights[..]);
+    Ok(Csr::from_edges_in(
+        row_ptr_for(n)?,
+        n as usize,
+        &edges,
+        weights,
+    ))
 }
 
 /// Reads a DIMACS `.gr` shortest-path graph.
@@ -882,6 +904,23 @@ a 3 2 2
             GraphSource::MatrixMarket,
             "%%MatrixMarket matrix coordinate pattern general\n2 1099511627776 1\n1 2\n",
             read_matrix_market::<&[u8]>,
+        );
+    }
+
+    #[test]
+    fn row_pointers_beyond_memory_are_an_error_not_an_abort() {
+        let room = row_ptr_for(3).unwrap();
+        assert!(room.is_empty() && room.capacity() >= 4);
+        // `nodes + 1` entries overflow: refused before any allocation.
+        let err = row_ptr_for(u64::MAX).unwrap_err();
+        match &err {
+            ParseError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::OutOfMemory),
+            other => panic!("{other}"),
+        }
+        assert!(
+            err.to_string()
+                .contains("row pointers of 18446744073709551615 nodes"),
+            "{err}"
         );
     }
 

@@ -56,6 +56,10 @@ pub struct ExecConfig {
     pub serial_baseline: bool,
 }
 
+/// The task limit every front end starts from: [`ExecConfig::new`]'s, and
+/// the bench runner's.
+pub const DEFAULT_TASK_LIMIT: u64 = 20_000_000;
+
 impl ExecConfig {
     /// A scaled machine with the given thread count and paper-default knobs.
     pub fn new(threads: usize) -> Self {
@@ -64,7 +68,7 @@ impl ExecConfig {
             sim: SimConfig::scaled(threads.max(1), 16),
             core_mode: CoreMode::realistic(),
             split_threshold: Some(crate::split::PAPER_SPLIT_THRESHOLD),
-            task_limit: 3_000_000,
+            task_limit: DEFAULT_TASK_LIMIT,
             poll_interval: 200,
             serial_baseline: false,
         }

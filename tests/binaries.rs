@@ -2,10 +2,12 @@
 //! a second invocation can show. Each test drives a built binary through
 //! `CARGO_BIN_EXE_<name>`.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use minnow::algos::WorkloadKind;
+use minnow::bench::json_read::Json;
 use minnow::bench::sweep::{derive_seed, run_sweep, Sweep, SweepConfig, SweepParams};
 use minnow::graph::io::write_edge_list;
 
@@ -17,7 +19,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_bin(exe: &str, args: &[&str]) -> Output {
+fn run_bin<S: AsRef<OsStr>>(exe: &str, args: &[S]) -> Output {
     Command::new(exe)
         .args(args)
         .output()
@@ -201,6 +203,245 @@ fn budget_sliced_explorer_pauses_with_3_and_resumes_to_the_same_frontier() {
         frontier(&sliced),
         frontier(&whole),
         "resumed frontier differs"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `exe args` under `ulimit -v kib` through `sh -c`, or `None`, with a
+/// note, where there is no `sh` whose `ulimit -v` works.
+fn under_ulimit<S: AsRef<OsStr>>(kib: u64, exe: &str, args: &[S]) -> Option<Output> {
+    let probe = Command::new("sh")
+        .args(["-c", &format!("ulimit -v {kib}")])
+        .output();
+    if !probe.is_ok_and(|out| out.status.success()) {
+        eprintln!("note: no `sh` with `ulimit -v` here; the memory-ceiling run is skipped");
+        return None;
+    }
+    let script = format!("ulimit -v {kib} && exec \"$0\" \"$@\"");
+    let out = Command::new("sh")
+        .args(["-c", &script, exe])
+        .args(args)
+        .output()
+        .expect("starting sh");
+    Some(out)
+}
+
+/// `exe args` pinned to CPU 0 by `taskset`, or `None`, with a note,
+/// where `taskset` is missing or cannot pin.
+fn on_one_cpu<S: AsRef<OsStr>>(exe: &str, args: &[S]) -> Option<Output> {
+    match Command::new("taskset")
+        .args(["-c", "0", exe])
+        .args(args)
+        .output()
+    {
+        Ok(out) if !stderr(&out).starts_with("taskset:") => Some(out),
+        _ => {
+            eprintln!("note: no working `taskset` here; the one-CPU run is skipped");
+            None
+        }
+    }
+}
+
+/// The RMAT scale of the ingest checks: small enough for a debug build,
+/// large enough that a 1 MiB budget spills several runs.
+const RMAT_SCALE: u32 = 14;
+
+/// Streams the seed-42 RMAT samples at [`RMAT_SCALE`] to `dir/rmat.el`.
+fn rmat_edge_list(dir: &Path) -> PathBuf {
+    let path = dir.join("rmat.el");
+    let spec = format!("rmat:{RMAT_SCALE}:16");
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_minnow-ingest"),
+        &["--gen", &spec, "--seed", "42", "-o", path.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    path
+}
+
+/// `minnow-ingest`'s arguments for the simulator's RMAT recipe from
+/// `input` to `image` under `budget_mb`, then `extra`.
+fn ingest_args(input: &Path, image: &Path, budget_mb: &str, extra: &[&str]) -> Vec<String> {
+    let nodes = (1u64 << RMAT_SCALE).to_string();
+    let args = [
+        input.to_str().unwrap(),
+        "-o",
+        image.to_str().unwrap(),
+        "--budget-mb",
+        budget_mb,
+        "--symmetrize",
+        "--dedup",
+        "--drop-self-loops",
+        "--nodes",
+        &nodes,
+    ];
+    args.iter().chain(extra).map(|a| a.to_string()).collect()
+}
+
+/// The sorted runs an ingest's summary line reports.
+fn runs_reported(out: &Output) -> u64 {
+    let err = stderr(out);
+    let head = err.split(" sorted run(s)").next().unwrap();
+    head.rsplit('(')
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap_or_else(|_| panic!("{err}"))
+}
+
+#[test]
+fn ingest_writes_one_image_at_every_budget_on_one_cpu_and_under_a_memory_ceiling() {
+    let dir = scratch("ingest-budgets");
+    let input = rmat_edge_list(&dir);
+    let exe = env!("CARGO_BIN_EXE_minnow-ingest");
+    let ingest = |name: &str, budget_mb: &str| {
+        let image = dir.join(name);
+        let args = ingest_args(&input, &image, budget_mb, &[]);
+        (image, args)
+    };
+
+    // The external sort keeps to its budget: an 8 MiB ingest runs inside
+    // a 1 GiB address space (the binary and allocator take most of it).
+    let (reference, args) = ingest("ceiling.mcsr", "8");
+    let out = under_ulimit(1 << 20, exe, &args).unwrap_or_else(|| run_bin(exe, &args));
+    assert!(out.status.success(), "{}", stderr(&out));
+    let want = std::fs::read(&reference).unwrap();
+
+    for (name, budget_mb) in [("fat.mcsr", "256"), ("thin.mcsr", "1")] {
+        let (image, args) = ingest(name, budget_mb);
+        let out = run_bin(exe, &args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        if budget_mb == "1" {
+            assert!(runs_reported(&out) >= 4, "{}", stderr(&out));
+        }
+        assert!(
+            std::fs::read(&image).unwrap() == want,
+            "{budget_mb} MiB image differs"
+        );
+    }
+
+    // On one CPU the sort, spill and sink stages run inline.
+    let (image, args) = ingest("one-cpu.mcsr", "8");
+    if let Some(out) = on_one_cpu(exe, &args) {
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(
+            std::fs::read(&image).unwrap() == want,
+            "one-CPU image differs"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_image_sweeps_byte_identically_mapped_and_read() {
+    let dir = scratch("image-modes");
+    let input = rmat_edge_list(&dir);
+    let image = dir.join("rmat.mcsr");
+    let args = ingest_args(&input, &image, "8", &[]);
+    let out = run_bin(env!("CARGO_BIN_EXE_minnow-ingest"), &args);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let exe = env!("CARGO_BIN_EXE_minnow-sweep");
+    let args = |mode: &str, filter: &str| {
+        let out_dir = dir.join(mode);
+        let args = [
+            "smoke",
+            "--filter",
+            filter,
+            "--threads",
+            "1",
+            "--input",
+            image.to_str().unwrap(),
+            "--input-mode",
+            mode,
+            "--out",
+            out_dir.to_str().unwrap(),
+        ];
+        (out_dir.join("smoke.jsonl"), args.map(String::from))
+    };
+    // Every smoke BFS point (software, minnow, wdp) by each load path.
+    let sweep = |mode: &str| {
+        let (jsonl, args) = args(mode, "/BFS/");
+        let out = run_bin(exe, &args);
+        assert!(out.status.success(), "{mode}: {}", stderr(&out));
+        std::fs::read(jsonl).unwrap()
+    };
+    let mapped = sweep("mmap");
+    assert_eq!(mapped.iter().filter(|&&b| b == b'\n').count(), 3);
+    assert!(sweep("read") == mapped, "mmap and read sweeps differ");
+    // On one CPU the mapped load hashes inline, before its checks; one
+    // point is enough to compare that load.
+    let (jsonl, one_cpu) = args("auto", "/BFS/wdp");
+    if let Some(out) = on_one_cpu(exe, &one_cpu) {
+        assert!(out.status.success(), "{}", stderr(&out));
+        let mapped = std::str::from_utf8(&mapped).unwrap();
+        let wdp: Vec<&str> = mapped
+            .lines()
+            .filter(|l| l.contains("\"id\":\"smoke/BFS/wdp\""))
+            .collect();
+        let got = std::fs::read_to_string(jsonl).unwrap();
+        assert!(
+            got.lines().collect::<Vec<_>>() == wdp,
+            "one-CPU sweep differs"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn ingest_bench_out_records_the_ingest_and_its_loads() {
+    let dir = scratch("ingest-bench-out");
+    let input = rmat_edge_list(&dir);
+    let image = dir.join("rmat.mcsr");
+    let doc_path = dir.join("BENCH_ingest.json");
+    let args = ingest_args(
+        &input,
+        &image,
+        "1",
+        &["--bench-out", doc_path.to_str().unwrap()],
+    );
+    let out = run_bin(env!("CARGO_BIN_EXE_minnow-ingest"), &args);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&doc_path).unwrap();
+    let doc = Json::parse(text.trim_end()).unwrap();
+    assert_eq!(
+        doc.str_field("schema").unwrap(),
+        "minnow-ingest-throughput/v1"
+    );
+    assert_eq!(doc.u64_field("nodes").unwrap(), 1 << RMAT_SCALE);
+    assert!(doc.u64_field("edges_kept").unwrap() > 0);
+    assert_eq!(doc.u64_field("runs").unwrap(), runs_reported(&out));
+    assert!(doc.u64_field("runs").unwrap() >= 1);
+    let modes: &[&str] = if cfg!(all(unix, target_endian = "little")) {
+        &["mmap", "read"]
+    } else {
+        &["read"]
+    };
+    for mode in modes {
+        for field in [format!("load_{mode}_ms"), format!("load_{mode}_median_ms")] {
+            assert!(doc.f64_field(&field).unwrap() > 0.0, "{field}: {text}");
+        }
+    }
+    let host = doc.get("host").unwrap();
+    assert!(host.u64_field("available_parallelism").unwrap() >= 1);
+    assert!(!host.str_field("cpu_model").unwrap().is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_oversized_declared_node_count_is_refused_under_a_memory_ceiling() {
+    let dir = scratch("huge-gr");
+    let path = dir.join("huge.gr");
+    // 4294967295 nodes fit a node id, but not their row pointers in 4 GB.
+    std::fs::write(&path, "p sp 4294967295 0\n").unwrap();
+    let exe = env!("CARGO_BIN_EXE_minnow-run");
+    let args = ["sssp", "--input", path.to_str().unwrap()];
+    let Some(out) = under_ulimit(4_000_000, exe, &args) else {
+        return;
+    };
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("cannot allocate the row pointers of 4294967295 nodes"),
+        "{err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
