@@ -320,8 +320,8 @@ pub trait Evaluator {
     fn evaluate(&mut self, batch: Vec<EvalRequest>) -> Result<Vec<EvalResponse>, String>;
 }
 
-/// The in-process evaluator: fans a batch across the work-stealing
-/// sweep pool ([`run_sweep_observed`]).
+/// The in-process evaluator: fans a batch across the sweep pool
+/// ([`run_sweep_observed`]).
 #[derive(Debug, Clone)]
 pub struct LocalEvaluator {
     /// Sweep-pool worker threads (points in flight at once).

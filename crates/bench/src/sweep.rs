@@ -7,8 +7,8 @@
 //!
 //! * named sweep enumerations mirroring the evaluation figures
 //!   ([`Sweep::named`]),
-//! * a work-stealing thread pool ([`run_sweep`]) that fans points out
-//!   over a `crossbeam` deque (global injector + per-worker queues),
+//! * a thread pool ([`run_sweep`]) whose workers claim points through one
+//!   shared counter and slot each result by its enumeration index,
 //! * deterministic per-point seeding ([`derive_seed`]) with no global
 //!   RNG state, and
 //! * machine-readable artifacts: a JSON-lines record per point
@@ -29,11 +29,10 @@
 //! * wall-clock measurements never appear in per-point records; they are
 //!   confined to the summary's `volatile` section.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use minnow_algos::WorkloadKind;
 use minnow_runtime::sim_exec::RunReport;
 use minnow_sim::stats::CycleBin;
@@ -502,13 +501,12 @@ pub struct SweepHooks<'a> {
     pub on_point: Option<&'a (dyn Fn(&PointResult) + Sync)>,
 }
 
-/// Runs every selected point of a sweep across a work-stealing pool.
+/// Runs every selected point of a sweep across a pool of scoped threads.
 ///
-/// Workers pull from a global [`Injector`] (batch-refilling their local
-/// FIFO queues) and steal from each other once the injector drains; a
-/// worker exits when every queue is empty. No tasks are spawned
-/// dynamically, so this termination check cannot lose work: a task is
-/// only ever *moved* between queues while the thief holds it.
+/// Points are independent and fixed up front, so the pool is one shared
+/// counter: each worker claims the next unclaimed slot until none is left,
+/// and writes its result into that slot, so results come out in
+/// enumeration order whatever the pool width or finishing order.
 pub fn run_sweep(sweep: &Sweep, cfg: &SweepConfig) -> SweepResult {
     run_sweep_observed(sweep, cfg, &SweepHooks::default())
 }
@@ -521,56 +519,49 @@ pub fn run_sweep_observed(sweep: &Sweep, cfg: &SweepConfig, hooks: &SweepHooks) 
     let selected = sweep.selected(cfg);
     let pool = cfg.threads.max(1).min(selected.len().max(1));
 
-    let injector: Injector<usize> = Injector::new();
-    for slot in 0..selected.len() {
-        injector.push(slot);
-    }
+    // Hands out slots only; results travel through `slots`' mutex, so
+    // the counter needs no ordering of its own.
+    let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<PointResult>>> = Mutex::new(vec![None; selected.len()]);
 
-    let workers: Vec<Worker<usize>> = (0..pool).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-
-    crossbeam::thread::scope(|s| {
-        for local in workers {
-            let (selected, slots, injector, stealers) = (&selected, &slots, &injector, &stealers);
-            s.spawn(move |_| {
-                while let Some(slot) = next_task(&local, injector, stealers) {
-                    if hooks.cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                        // Leave the slot unexecuted; keep draining the
-                        // queues so every worker terminates promptly.
-                        continue;
-                    }
-                    let point = selected[slot];
-                    let mut run = point.run.clone();
-                    if cfg.input.is_some() {
-                        run.input = cfg.input.clone();
-                    }
-                    let p0 = Instant::now();
-                    let (report, trace) = if cfg.trace {
-                        // Each point gets a private buffer, so pool
-                        // interleaving never mixes event streams.
-                        let tracer = Tracer::enabled();
-                        let report = run.execute_traced(&tracer);
-                        (report, Some(tracer.take_events()))
-                    } else {
-                        (run.execute(), None)
-                    };
-                    let result = PointResult {
-                        id: point.id.clone(),
-                        run: point.run.clone(),
-                        report,
-                        trace,
-                        wall: p0.elapsed(),
-                    };
-                    if let Some(observe) = hooks.on_point {
-                        observe(&result);
-                    }
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[slot] = Some(result);
+    std::thread::scope(|s| {
+        for _ in 0..pool {
+            s.spawn(|| loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let cancelled = hooks.cancel.is_some_and(|c| c.load(Ordering::Acquire));
+                if slot >= selected.len() || cancelled {
+                    // Unclaimed slots stay empty and count as skipped.
+                    break;
                 }
+                let point = selected[slot];
+                let mut run = point.run.clone();
+                if cfg.input.is_some() {
+                    run.input = cfg.input.clone();
+                }
+                let p0 = Instant::now();
+                let (report, trace) = if cfg.trace {
+                    // Each point gets a private buffer, so pool
+                    // interleaving never mixes event streams.
+                    let tracer = Tracer::enabled();
+                    let report = run.execute_traced(&tracer);
+                    (report, Some(tracer.take_events()))
+                } else {
+                    (run.execute(), None)
+                };
+                let result = PointResult {
+                    id: point.id.clone(),
+                    run: point.run.clone(),
+                    report,
+                    trace,
+                    wall: p0.elapsed(),
+                };
+                if let Some(observe) = hooks.on_point {
+                    observe(&result);
+                }
+                slots.lock().unwrap_or_else(|e| e.into_inner())[slot] = Some(result);
             });
         }
-    })
-    .expect("sweep pool panicked");
+    });
 
     let filled: Vec<Option<PointResult>> = slots.into_inner().unwrap_or_else(|e| e.into_inner());
     let cancelled = hooks.cancel.is_some_and(|c| c.load(Ordering::Acquire));
@@ -587,32 +578,6 @@ pub fn run_sweep_observed(sweep: &Sweep, cfg: &SweepConfig, hooks: &SweepHooks) 
         pool_threads: pool,
         wall: t0.elapsed(),
         skipped,
-    }
-}
-
-/// Finds the next task: local queue, then the injector (batch refill),
-/// then other workers' queues. `None` means everything was empty.
-fn next_task(local: &Worker<usize>, injector: &Injector<usize>, stealers: &[Stealer<usize>]) -> Option<usize> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        let mut retry = false;
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
-        }
-        for stealer in stealers {
-            match stealer.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
     }
 }
 

@@ -12,16 +12,18 @@
 //!   [`minnow_runtime::SchedulerModel`]: workers pay 3-cycle enqueues and
 //!   10-cycle dequeues while engines maintain the software global OBIM
 //!   worklist through their core's L2,
-//! * [`wdp`] — the `prefetchTask`/`prefetchEdge` programs (Fig. 14), the TC
-//!   custom program, and the engine back-end issue pipeline (32-entry load
-//!   buffer, context switch per load),
+//! * [`wdp`] — the `prefetchTask`/`prefetchEdge` programs (Fig. 14) and the
+//!   TC custom program, expanded natively into line streams, and the engine
+//!   back-end issue pipeline (32-entry load buffer, context switch per load),
 //! * [`credits`] — the credit pool (§5.3.1),
-//! * [`threadlet`] — reservation-based deadlock avoidance (§5.3.2),
-//! * [`program`] — the threadlet bytecode ISA, assembler, and interpreter
-//!   behind "fully programmable" (§5.3's custom prefetch functions),
-//! * [`isa`] — functional model of the five `minnow_*` instructions with
-//!   TLB-miss exceptions (§4.1),
 //! * [`area`] — the §5.4 area model (< 1% per Skylake slice).
+//!
+//! Two functional models stand beside the timed path, driven only by their
+//! own tests: [`isa`], the five `minnow_*` instructions with TLB-miss
+//! exceptions (§4.1), and [`threadlet`], reservation-based deadlock
+//! avoidance (§5.3.2). The timed engine raises no exceptions and makes no
+//! reservations; it caps the threadlet backlog instead (EXPERIMENTS.md,
+//! deviation 6).
 //!
 //! ## Example: Minnow vs the software worklist
 //!
@@ -55,7 +57,6 @@ pub mod credits;
 pub mod engine;
 pub mod isa;
 pub mod offload;
-pub mod program;
 pub mod threadlet;
 pub mod wdp;
 

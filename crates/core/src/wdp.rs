@@ -401,6 +401,49 @@ mod tests {
     }
 
     #[test]
+    fn standard_program_emits_exactly_fig14_lines() {
+        // Fig. 14 by hand over 32 B nodes and 16 B edges: prefetchTask
+        // reads the source node, then prefetchEdge reads each edge and
+        // its destination node, each line issued once. Edges 0..4 share
+        // the first edge line; nodes 0, 3, 5 and 6 sit on node lines 0,
+        // 1, 2 and 3.
+        let g = Csr::from_edges(8, &[(0, 3), (0, 5), (0, 6), (3, 0)], None);
+        let map = AddressMap::standard();
+        let line = |addr: u64| addr & !63;
+        let expand = |task: Task| program_lines(PrefetchKind::Standard, &g, &map, &task);
+        assert_eq!(
+            expand(Task::new(0, 0)),
+            vec![
+                line(map.node_addr(0)),
+                line(map.edge_addr(0)),
+                line(map.node_addr(3)),
+                line(map.node_addr(5)),
+                line(map.node_addr(6)),
+            ]
+        );
+        // The back edge 3→0.
+        assert_eq!(
+            expand(Task::new(0, 3)),
+            vec![
+                line(map.node_addr(3)),
+                line(map.edge_addr(3)),
+                line(map.node_addr(0))
+            ]
+        );
+        // No edges: the node line alone.
+        assert_eq!(expand(Task::new(0, 1)), vec![line(map.node_addr(1))]);
+        // A split task reads only its slots.
+        assert_eq!(
+            expand(Task::with_range(0, 0, 1, 2)),
+            vec![
+                line(map.node_addr(0)),
+                line(map.edge_addr(1)),
+                line(map.node_addr(5))
+            ]
+        );
+    }
+
+    #[test]
     fn split_task_prefetches_only_its_range() {
         let g = chain_graph();
         let map = AddressMap::standard();

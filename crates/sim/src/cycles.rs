@@ -3,140 +3,7 @@
 //! The whole substrate measures time in core clock cycles (the paper's
 //! baseline runs at 2.5 GHz, Table 3). We use a plain `u64` alias rather than
 //! a heavyweight newtype because cycle values flow through arithmetic-dense
-//! inner loops in every model; the alias keeps call sites readable while the
-//! helpers below centralize the few non-trivial operations.
+//! inner loops in every model; the alias keeps call sites readable.
 
 /// A point in simulated time, measured in core clock cycles.
 pub type Cycle = u64;
-
-/// Saturating difference `a - b`, useful for "how long past the deadline".
-#[inline]
-pub fn since(a: Cycle, b: Cycle) -> Cycle {
-    a.saturating_sub(b)
-}
-
-/// Integer ceiling division, used for `work / throughput` style latencies.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(minnow_sim::cycles::div_ceil(10, 4), 3);
-/// assert_eq!(minnow_sim::cycles::div_ceil(8, 4), 2);
-/// assert_eq!(minnow_sim::cycles::div_ceil(0, 4), 0);
-/// ```
-#[inline]
-pub fn div_ceil(num: u64, den: u64) -> u64 {
-    debug_assert!(den > 0, "div_ceil denominator must be positive");
-    num.div_ceil(den)
-}
-
-/// Converts a cycle count at the core clock into wall-clock seconds for the
-/// given frequency in GHz.
-///
-/// ```
-/// let secs = minnow_sim::cycles::cycles_to_seconds(2_500_000_000, 2.5);
-/// assert!((secs - 1.0).abs() < 1e-9);
-/// ```
-#[inline]
-pub fn cycles_to_seconds(cycles: Cycle, ghz: f64) -> f64 {
-    cycles as f64 / (ghz * 1e9)
-}
-
-/// An exponentially-weighted running mean, used by adaptive models (e.g. the
-/// DRAM queue and NoC link congestion estimators) where a full history would
-/// be too expensive.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    value: f64,
-    alpha: f64,
-    primed: bool,
-}
-
-impl Ewma {
-    /// Creates a new EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma {
-            value: 0.0,
-            alpha,
-            primed: false,
-        }
-    }
-
-    /// Feeds an observation into the running mean.
-    pub fn observe(&mut self, x: f64) {
-        if self.primed {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.primed = true;
-        }
-    }
-
-    /// Current smoothed value (0.0 before the first observation).
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Whether at least one observation has been recorded.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-}
-
-impl Default for Ewma {
-    fn default() -> Self {
-        Ewma::new(0.25)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn since_saturates() {
-        assert_eq!(since(5, 3), 2);
-        assert_eq!(since(3, 5), 0);
-    }
-
-    #[test]
-    fn div_ceil_rounds_up() {
-        assert_eq!(div_ceil(1, 64), 1);
-        assert_eq!(div_ceil(64, 64), 1);
-        assert_eq!(div_ceil(65, 64), 2);
-    }
-
-    #[test]
-    fn ewma_tracks_constant_stream() {
-        let mut e = Ewma::new(0.5);
-        assert!(!e.is_primed());
-        for _ in 0..20 {
-            e.observe(10.0);
-        }
-        assert!(e.is_primed());
-        assert!((e.value() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_observation_primes_directly() {
-        let mut e = Ewma::new(0.1);
-        e.observe(42.0);
-        assert!((e.value() - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn cycles_to_seconds_matches_frequency() {
-        assert!((cycles_to_seconds(5_000_000_000, 2.5) - 2.0).abs() < 1e-9);
-    }
-}

@@ -10,7 +10,6 @@
 
 use crate::contend::GapTracker;
 use crate::cycles::Cycle;
-use crate::stats::{Counter, Histogram};
 
 /// Multi-channel DRAM with per-channel queueing.
 #[derive(Debug, Clone)]
@@ -18,8 +17,6 @@ pub struct Dram {
     base_latency: Cycle,
     service: Cycle,
     channels: Vec<GapTracker>,
-    accesses: Counter,
-    queue_hist: Histogram,
 }
 
 impl Dram {
@@ -40,27 +37,17 @@ impl Dram {
             base_latency,
             service,
             channels: vec![GapTracker::new(); channels],
-            accesses: Counter::new(),
-            queue_hist: Histogram::new(),
         }
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// Services one cache-line access to `line_addr` starting at `now`;
     /// returns the total latency including queueing.
     pub fn access(&mut self, line_addr: u64, now: Cycle) -> Cycle {
-        self.accesses.inc();
         // Channel interleave on line address bits (hash to spread strides).
         let h = line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let ch = (h % self.channels.len() as u64) as usize;
         let start = self.channels[ch].reserve(now, self.service);
-        let queued = start - now;
-        self.queue_hist.record(queued);
-        self.base_latency + queued
+        self.base_latency + (start - now)
     }
 
     /// Uncontended access latency in cycles.
@@ -68,16 +55,6 @@ impl Dram {
         self.base_latency
     }
 
-    /// Total accesses serviced.
-    pub fn accesses(&self) -> u64 {
-        self.accesses.get()
-    }
-
-    /// Log2-bucketed histogram of per-access queueing delays (cycles
-    /// spent waiting for a channel; exactly mergeable across sweeps).
-    pub fn queue_histogram(&self) -> &Histogram {
-        &self.queue_hist
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +65,6 @@ mod tests {
     fn uncontended_access_costs_base_latency() {
         let mut d = Dram::new(4, 200, 8);
         assert_eq!(d.access(0x40, 0), 200);
-        assert_eq!(d.accesses(), 1);
     }
 
     #[test]
@@ -124,15 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn queue_histogram_reflects_contention() {
+    fn queueing_reflects_contention() {
         let mut d = Dram::new(1, 100, 50);
-        for i in 0..10 {
-            d.access(i, 0);
-        }
-        // One channel, ten requests at once: waits of 0, 50, ..., 450.
-        let h = d.queue_histogram();
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.sum(), 50 * 45);
-        assert_eq!(h.quantile_bound(1.0), Some(512));
+        // One channel, ten requests at once: waits of 0, 50, ..., 450
+        // on top of the base latency.
+        let latencies: Vec<u64> = (0..10).map(|i| d.access(i, 0)).collect();
+        let expected: Vec<u64> = (0..10).map(|k| 100 + 50 * k).collect();
+        assert_eq!(latencies, expected);
     }
 }

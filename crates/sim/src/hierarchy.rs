@@ -19,7 +19,6 @@ use crate::config::SimConfig;
 use crate::cycles::Cycle;
 use crate::dram::Dram;
 use crate::noc::Noc;
-use crate::stats::MetricsRegistry;
 use crate::trace::{TraceEvent, Tracer};
 
 /// Kind of demand access issued by a worker core.
@@ -125,9 +124,6 @@ pub struct MemoryHierarchy {
     /// Arrival times of in-flight prefetches: a demand access that consumes
     /// a marked line before its fill has arrived stalls until it does.
     prefetch_ready: Vec<FxMap64<Cycle>>,
-    /// Marked lines lost to remote-write invalidations (vs capacity
-    /// evictions), for prefetch-efficiency diagnosis.
-    prefetch_invalidated: u64,
     core_stats: Vec<CoreMemStats>,
     /// Structured event sink; disabled by default (zero timing impact
     /// either way — tracing only observes).
@@ -161,7 +157,6 @@ impl MemoryHierarchy {
             directory: FxMap64::new(),
             pending_credits: vec![0; cfg.cores],
             prefetch_ready: vec![FxMap64::new(); cfg.cores],
-            prefetch_invalidated: 0,
             core_stats: vec![CoreMemStats::default(); cfg.cores],
             tracer: Tracer::disabled(),
         }
@@ -394,43 +389,6 @@ impl MemoryHierarchy {
         &self.l3
     }
 
-    /// Marked (prefetched, unused) lines lost to remote-write invalidations.
-    pub fn prefetch_invalidated(&self) -> u64 {
-        self.prefetch_invalidated
-    }
-
-    /// The DRAM model (for bandwidth/queueing stats).
-    pub fn dram(&self) -> &Dram {
-        &self.dram
-    }
-
-    /// The NoC model (for congestion stats).
-    pub fn noc(&self) -> &Noc {
-        &self.noc
-    }
-
-    /// Snapshots hierarchy-wide metrics into a labeled registry:
-    /// demand/engine traffic counters, prefetch health, and the DRAM
-    /// and NoC queueing histograms. Labels are stable and sorted, so
-    /// two snapshots of identical runs compare equal.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let t = self.total_stats();
-        reg.set("mem.accesses", t.accesses);
-        reg.set("mem.l1_misses", t.l1_misses);
-        reg.set("mem.l2_misses", t.l2_misses);
-        reg.set("mem.l3_misses", t.l3_misses);
-        reg.set("mem.engine_accesses", t.engine_accesses);
-        reg.set("mem.engine_l2_misses", t.engine_l2_misses);
-        reg.set("mem.prefetch_invalidated", self.prefetch_invalidated);
-        reg.set("dram.accesses", self.dram.accesses());
-        reg.set("noc.packets", self.noc.packets());
-        reg.set("noc.hops", self.noc.total_hops());
-        reg.insert_histogram("dram.queue_cycles", self.dram.queue_histogram().clone());
-        reg.insert_histogram("noc.queue_cycles", self.noc.queue_histogram().clone());
-        reg
-    }
-
     /// Resets all statistics, keeping cache contents (post-warmup).
     pub fn reset_stats(&mut self) {
         for c in &mut self.l1 {
@@ -539,7 +497,6 @@ impl MemoryHierarchy {
                 if ev.prefetch_unused {
                     self.pending_credits[other] += 1;
                     self.prefetch_ready[other].remove(ev.line_addr);
-                    self.prefetch_invalidated += 1;
                 }
             }
             self.l1[other].invalidate_line(line);

@@ -58,5 +58,5 @@ pub mod trace;
 pub use crate::config::SimConfig;
 pub use crate::cycles::Cycle;
 pub use crate::hierarchy::{AccessKind, AccessResult, CacheLevel, MemoryHierarchy};
-pub use crate::stats::{CycleAccounting, CycleBin, Histogram, MetricsRegistry};
+pub use crate::stats::{CycleAccounting, CycleBin, Histogram};
 pub use crate::trace::{TraceEvent, TracePhase, Tracer};

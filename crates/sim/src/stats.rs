@@ -1,9 +1,8 @@
 //! Statistics primitives shared by all models: counters, log2-bucketed
-//! histograms with exact merge, a labeled metrics registry, and the
-//! *closed* per-core cycle-accounting bins behind the Fig. 5 breakdown
-//! (every simulated cycle lands in exactly one bin).
+//! histograms with exact merge, and the *closed* per-core cycle-accounting
+//! bins behind the Fig. 5 breakdown (every simulated cycle lands in exactly
+//! one bin).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::cycles::Cycle;
@@ -179,93 +178,6 @@ impl Histogram {
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n={} mean={:.2}", self.count(), self.mean())
-    }
-}
-
-/// A registry of labeled counters and histograms with deterministic
-/// (lexicographic) iteration order, used to snapshot component metrics
-/// into reports and trace exports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to a labeled counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += n;
-        } else {
-            self.counters.insert(name.to_string(), n);
-        }
-    }
-
-    /// Sets a labeled counter to an absolute value.
-    pub fn set(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
-    /// Current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into a labeled histogram, creating it if needed.
-    pub fn record(&mut self, name: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::new();
-            h.record(value);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// A labeled histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Installs a pre-built histogram under a label (snapshotting a
-    /// component-owned histogram into the registry), merging into any
-    /// existing entry.
-    pub fn insert_histogram(&mut self, name: &str, hist: Histogram) {
-        if let Some(mine) = self.histograms.get_mut(name) {
-            mine.merge(&hist);
-        } else {
-            self.histograms.insert(name.to_string(), hist);
-        }
-    }
-
-    /// Counters in lexicographic label order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Histograms in lexicographic label order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges another registry into this one (counters add, histograms
-    /// merge exactly).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, &v) in &other.counters {
-            self.add(k, v);
-        }
-        for (k, h) in &other.histograms {
-            if let Some(mine) = self.histograms.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.histograms.insert(k.clone(), h.clone());
-            }
-        }
     }
 }
 
@@ -532,26 +444,6 @@ mod tests {
         let p50 = h.quantile_bound(0.5).unwrap();
         assert!((2..100).contains(&p50), "p50 bound {p50}");
         assert_eq!(h.quantile_bound(1.0), Some(128));
-    }
-
-    #[test]
-    fn registry_is_deterministic_and_merges() {
-        let mut a = MetricsRegistry::new();
-        a.add("zeta", 2);
-        a.add("alpha", 1);
-        a.record("lat", 4);
-        let mut b = MetricsRegistry::new();
-        b.add("alpha", 10);
-        b.record("lat", 8);
-        b.record("depth", 1);
-        a.merge(&b);
-        let names: Vec<_> = a.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, ["alpha", "zeta"], "lexicographic order");
-        assert_eq!(a.counter("alpha"), 11);
-        assert_eq!(a.counter("missing"), 0);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.histogram("lat").unwrap().sum(), 12);
-        assert_eq!(a.histogram("depth").unwrap().count(), 1);
     }
 
     #[test]

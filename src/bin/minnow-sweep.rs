@@ -1,7 +1,7 @@
 //! `minnow-sweep` — parallel sweep driver for the evaluation figures.
 //!
 //! Enumerates a named sweep (a figure's full set of simulation points),
-//! fans the points across a work-stealing thread pool, and writes
+//! fans the points across a thread pool, and writes
 //! machine-readable artifacts: one JSON object per point
 //! (`<sweep>.jsonl`) plus a summary (`<sweep>.summary.json`).
 //!

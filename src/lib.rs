@@ -7,7 +7,7 @@
 //! * [`graph`] — CSR graphs, generators, statistics,
 //! * [`runtime`] — Galois-like task framework (worklists, executors, BSP),
 //! * [`engine`] — the Minnow engines themselves (worklist offload,
-//!   threadlets, credit-throttled worklist-directed prefetching),
+//!   credit-throttled worklist-directed prefetching, the area model),
 //! * [`prefetch`] — baseline hardware prefetchers (stride, IMP),
 //! * [`algos`] — the seven paper workloads (SSSP, BFS, G500, CC, PR, TC, BC),
 //! * [`bench`] — the experiment harness (figure benches, the parallel

@@ -4,7 +4,8 @@
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use minnow::algos::WorkloadKind;
 use minnow::bench::json_read::Json;
@@ -226,20 +227,39 @@ fn under_ulimit<S: AsRef<OsStr>>(kib: u64, exe: &str, args: &[S]) -> Option<Outp
     Some(out)
 }
 
+/// Whether `taskset -c 0` can pin a process here; prints a note when it
+/// cannot, and the caller skips its one-CPU run.
+fn taskset_pins() -> bool {
+    let ok = Command::new("taskset")
+        .args(["-c", "0", "true"])
+        .output()
+        .is_ok_and(|out| out.status.success());
+    if !ok {
+        eprintln!("note: no working `taskset` here; the one-CPU run is skipped");
+    }
+    ok
+}
+
+/// `exe` as a command, pinned to CPU 0 by `taskset` when `one_cpu`.
+fn command(exe: &str, one_cpu: bool) -> Command {
+    if one_cpu {
+        let mut cmd = Command::new("taskset");
+        cmd.args(["-c", "0", exe]);
+        cmd
+    } else {
+        Command::new(exe)
+    }
+}
+
 /// `exe args` pinned to CPU 0 by `taskset`, or `None`, with a note,
 /// where `taskset` is missing or cannot pin.
 fn on_one_cpu<S: AsRef<OsStr>>(exe: &str, args: &[S]) -> Option<Output> {
-    match Command::new("taskset")
-        .args(["-c", "0", exe])
-        .args(args)
-        .output()
-    {
-        Ok(out) if !stderr(&out).starts_with("taskset:") => Some(out),
-        _ => {
-            eprintln!("note: no working `taskset` here; the one-CPU run is skipped");
-            None
-        }
-    }
+    taskset_pins().then(|| {
+        command(exe, true)
+            .args(args)
+            .output()
+            .expect("starting taskset")
+    })
 }
 
 /// The RMAT scale of the ingest checks: small enough for a debug build,
@@ -443,5 +463,249 @@ fn an_oversized_declared_node_count_is_refused_under_a_memory_ceiling() {
         err.contains("cannot allocate the row pointers of 4294967295 nodes"),
         "{err}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `minnow-serve` daemon or worker process; killed on drop unless
+/// [`Process::finish`] saw it exit.
+struct Process {
+    child: Option<Child>,
+    what: &'static str,
+}
+
+impl Process {
+    /// Starts `minnow-serve args`, its stderr in `log`.
+    fn serve(what: &'static str, one_cpu: bool, log: &Path, args: &[&str]) -> Process {
+        let child = command(env!("CARGO_BIN_EXE_minnow-serve"), one_cpu)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(std::fs::File::create(log).unwrap())
+            .spawn()
+            .unwrap_or_else(|e| panic!("starting the {what}: {e}"));
+        Process {
+            child: Some(child),
+            what,
+        }
+    }
+
+    /// Waits up to a minute for the process to exit and asserts that it
+    /// exited cleanly.
+    fn finish(mut self) {
+        let mut child = self.child.take().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("the {} did not exit", self.what);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "the {} exited with {status}", self.what);
+    }
+}
+
+impl Drop for Process {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// `minnow-client --socket sock args`.
+fn client(sock: &Path, one_cpu: bool, args: &[&str]) -> Output {
+    command(env!("CARGO_BIN_EXE_minnow-client"), one_cpu)
+        .args(["--socket", sock.to_str().unwrap()])
+        .args(args)
+        .output()
+        .expect("starting minnow-client")
+}
+
+/// Waits for the daemon on `sock` to answer a ping.
+fn await_daemon(sock: &Path, one_cpu: bool) {
+    let out = client(sock, one_cpu, &["--wait", "30", "ping"]);
+    assert!(
+        out.status.success(),
+        "daemon never came up: {}",
+        stderr(&out)
+    );
+}
+
+/// Stops the daemon on `sock` and waits for it to exit.
+fn shut_down(daemon: Process, sock: &Path, one_cpu: bool) {
+    let out = client(sock, one_cpu, &["shutdown"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    daemon.finish();
+}
+
+/// The smoke sweep three ways, all byte-compared with the direct
+/// `minnow-sweep` artifacts: from a cold daemon, which simulates every
+/// point and persists it; then from a restarted daemon on that store,
+/// which must serve every point from it, so `--require-cached` passes.
+/// The restarted daemon has not seen another seed, so the same sweep
+/// at that seed under `--require-cached` must fail.
+fn served_sweep_matches_the_direct_sweep(tag: &str, one_cpu: bool) {
+    let dir = scratch(tag);
+    let sock = dir.join("serve.sock");
+    let sweep = ["smoke", "--scale", "0.02", "--seed", "7"];
+    let direct = dir.join("direct");
+    let out = command(env!("CARGO_BIN_EXE_minnow-sweep"), one_cpu)
+        .args(sweep)
+        .args(["--threads", "1", "--out", direct.to_str().unwrap()])
+        .output()
+        .expect("starting minnow-sweep");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let read = |path: PathBuf| std::fs::read(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let want = (
+        read(direct.join("smoke.jsonl")),
+        read(direct.join("smoke.breakdown.jsonl")),
+    );
+
+    let (store, daemon_out) = (dir.join("store.jsonl"), dir.join("daemon"));
+    let daemon_args = [
+        "--socket",
+        sock.to_str().unwrap(),
+        "--executors",
+        "1",
+        "--store",
+        store.to_str().unwrap(),
+        "--out",
+        daemon_out.to_str().unwrap(),
+    ];
+    for pass in ["cold", "warm"] {
+        let daemon = Process::serve(
+            "daemon",
+            one_cpu,
+            &dir.join(format!("{pass}.log")),
+            &daemon_args,
+        );
+        await_daemon(&sock, one_cpu);
+        let (jsonl, breakdown) = (
+            dir.join(format!("{pass}.jsonl")),
+            dir.join(format!("{pass}.breakdown.jsonl")),
+        );
+        let mut args = vec!["sweep"];
+        args.extend(sweep);
+        if pass == "warm" {
+            args.push("--require-cached");
+        }
+        args.extend(["--out", jsonl.to_str().unwrap()]);
+        args.extend(["--breakdown", breakdown.to_str().unwrap()]);
+        let out = client(&sock, one_cpu, &args);
+        assert!(out.status.success(), "{pass}: {}", stderr(&out));
+        assert!(
+            read(jsonl) == want.0,
+            "{pass} JSONL differs from the direct sweep"
+        );
+        assert!(
+            read(breakdown) == want.1,
+            "{pass} breakdown differs from the direct sweep"
+        );
+        if pass == "warm" {
+            let out = client(&sock, one_cpu, &["stats"]);
+            assert!(out.status.success(), "{}", stderr(&out));
+            let unseen = dir.join("unseen.jsonl");
+            let out = client(
+                &sock,
+                one_cpu,
+                &[
+                    "sweep",
+                    "smoke",
+                    "--scale",
+                    "0.02",
+                    "--seed",
+                    "8",
+                    "--require-cached",
+                    "--out",
+                    unseen.to_str().unwrap(),
+                ],
+            );
+            assert!(!out.status.success(), "an unseen seed was served cached");
+            assert!(
+                stderr(&out).contains("--require-cached: 6 of 6 points missed the store"),
+                "{}",
+                stderr(&out)
+            );
+        }
+        shut_down(daemon, &sock, one_cpu);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_served_sweep_matches_the_direct_one_cold_and_after_a_restart() {
+    served_sweep_matches_the_direct_sweep("serve", false);
+}
+
+/// On one CPU neither the daemon nor the client polls its socket
+/// before blocking.
+#[test]
+fn a_served_sweep_matches_the_direct_one_on_one_cpu() {
+    if taskset_pins() {
+        served_sweep_matches_the_direct_sweep("serve-1cpu", true);
+    }
+}
+
+#[test]
+fn a_worker_process_serves_a_zero_executor_daemons_search() {
+    let dir = scratch("serve-worker");
+    let direct = dir.join("direct");
+    let out = explore(&direct, None);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let sock = dir.join("serve.sock");
+    let sock_str = sock.to_str().unwrap();
+    let out_dir = dir.join("daemon");
+    // Zero local executors: only the worker process can simulate.
+    let daemon = Process::serve(
+        "daemon",
+        false,
+        &dir.join("daemon.log"),
+        &[
+            "--socket",
+            sock_str,
+            "--executors",
+            "0",
+            "--out",
+            out_dir.to_str().unwrap(),
+        ],
+    );
+    await_daemon(&sock, false);
+    let worker = Process::serve(
+        "worker",
+        false,
+        &dir.join("worker.log"),
+        &["--worker", sock_str, "--name", "test-worker"],
+    );
+    let frontier = dir.join("remote.frontier.jsonl");
+    let out = client(
+        &sock,
+        false,
+        &[
+            "explore",
+            "smoke",
+            "--strategy",
+            "halving",
+            "--eta",
+            "2",
+            "--seed",
+            "7",
+            "--out",
+            frontier.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        std::fs::read(&frontier).unwrap()
+            == std::fs::read(direct.join("smoke.frontier.jsonl")).unwrap(),
+        "the worker-served frontier differs from the explorer's"
+    );
+    shut_down(daemon, &sock, false);
+    worker.finish();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Determinism contract of the parallel sweep engine: the JSON-lines
 //! artifact is byte-identical whether points run one at a time or fan
-//! out across a work-stealing pool, and identical across repeated runs.
+//! out across a thread pool, and identical across repeated runs.
 //!
 //! The wall-clock speedup check at the bottom is gated on the machine's
 //! available parallelism (CI containers are often single-core; a 1-core
@@ -69,7 +69,8 @@ fn filtered_subset_matches_the_full_run() {
 fn tracing_never_changes_the_artifact() {
     let sweep = Sweep::smoke(&tiny_params());
     let plain = run_sweep(&sweep, &SweepConfig::serial());
-    let traced = run_sweep(&sweep, &SweepConfig::serial().with_trace());
+    let traced_cfg = SweepConfig::serial().with_threads(4).with_trace();
+    let traced = run_sweep(&sweep, &traced_cfg);
     assert_eq!(
         plain.jsonl(),
         traced.jsonl(),
@@ -84,7 +85,8 @@ fn tracing_never_changes_the_artifact() {
         plain.chrome_trace_json().is_none(),
         "untraced sweeps export no trace document"
     );
-    // The trace itself is deterministic for a fixed seed.
+    // The trace itself is deterministic for a fixed seed, at any pool
+    // width.
     let again = run_sweep(&sweep, &SweepConfig::serial().with_trace());
     assert_eq!(
         traced.chrome_trace_json(),
@@ -190,9 +192,24 @@ fn bench_document_schema_and_content() {
             point.id
         );
     }
-    // Totals are the sums of the per-point simulated counters.
+    // Totals are the sums of the per-point simulated counters, and
+    // every point ran tasks.
     let tasks: u64 = result.points.iter().map(|p| p.report.tasks).sum();
     assert!(bench.contains(&format!("\"total_tasks\":{tasks}")));
+    let doc = minnow::bench::json_read::Json::parse(&bench).expect("valid JSON");
+    let points = doc
+        .get("points")
+        .and_then(|v| v.as_array())
+        .expect("points");
+    assert_eq!(points.len(), sweep.points.len());
+    let mut doc_tasks = 0;
+    for point in points {
+        point.u64_field("wall_us").expect("wall_us");
+        let tasks = point.u64_field("tasks").expect("tasks");
+        assert!(tasks > 0, "{point:?} ran no tasks");
+        doc_tasks += tasks;
+    }
+    assert_eq!(doc.u64_field("total_tasks"), Ok(doc_tasks));
 }
 
 #[test]
@@ -205,6 +222,20 @@ fn breakdown_rows_are_closed() {
             .accounting
             .verify_closed(point.report.makespan)
             .unwrap_or_else(|e| panic!("{}: {e}", point.id));
+    }
+    // The breakdown artifact shows the same: each row's bins sum to
+    // makespan × cores.
+    let jsonl = result.breakdown_jsonl();
+    let rows: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(rows.len(), result.points.len());
+    for line in rows {
+        let row = minnow::bench::json_read::Json::parse(line).expect("valid JSON");
+        let bins: u64 = minnow::sim::CycleBin::ALL
+            .iter()
+            .map(|bin| row.u64_field(bin.name()).expect("bin"))
+            .sum();
+        let want = row.u64_field("makespan").unwrap() * row.u64_field("cores").unwrap();
+        assert_eq!(bins, want, "{line}");
     }
     // And the textual table reflects that: every artifact line exists.
     let table = result.breakdown_table();

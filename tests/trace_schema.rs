@@ -122,7 +122,12 @@ fn sweep_trace_doc_names_processes_and_orders_timestamps() {
     let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in events {
         let pid = ev.u64_field("pid").unwrap();
-        if ev.str_field("ph") == Ok("M") {
+        let phase = ev.str_field("ph").unwrap();
+        assert!(
+            ["X", "i", "C", "M"].contains(&phase),
+            "unknown phase {phase}"
+        );
+        if phase == "M" {
             assert_eq!(ev.str_field("name"), Ok("process_name"));
             let label = ev.get("args").unwrap().str_field("name").unwrap();
             assert!(
