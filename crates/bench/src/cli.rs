@@ -124,11 +124,7 @@ impl PointFlags {
   --seed N         generator seed
   --sched KIND     software | minnow | wdp | bsp
   --credits N      prefetch credits for --sched wdp (default 32)
-";
-
-    /// Usage lines for `--policy`, kept apart from [`Self::USAGE`] for
-    /// front ends that run the paper policy only.
-    pub const POLICY_USAGE: &'static str = "  --policy NAME    worklist policy for --sched software:
+  --policy NAME    worklist policy for --sched software:
                    fifo | lifo | chunked | obim | strict
                    (default: the workload's paper policy)
 ";

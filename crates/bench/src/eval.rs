@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use minnow_algos::WorkloadKind;
 use minnow_runtime::sim_exec::RunReport;
+use minnow_runtime::PolicyKind;
 use minnow_sim::config::EngineParams;
 use minnow_sim::core::CoreMode;
 use minnow_sim::stats::CycleBin;
@@ -166,11 +167,11 @@ impl EvalReport {
         }
     }
 
-    /// Serializes the report as a canonical JSON object.
-    pub fn to_json(&self) -> String {
-        let bins = crate::json::array(self.bins.iter().map(u64::to_string));
-        JsonObject::new()
-            .u64("makespan", self.makespan)
+    /// Appends the report's fields to `obj` in their canonical order;
+    /// nest them with [`JsonObject::object`] to render a reply, a worker
+    /// result or a store line in one buffer.
+    pub fn fields(&self, obj: JsonObject) -> JsonObject {
+        obj.u64("makespan", self.makespan)
             .u64("tasks", self.tasks)
             .u64("instructions", self.instructions)
             .bool("timed_out", self.timed_out)
@@ -193,11 +194,10 @@ impl EvalReport {
             .u64("prefetch_used", self.prefetch_used)
             .u64("supersteps", self.supersteps)
             .u64("cores", self.cores)
-            .raw("bins", &bins)
-            .finish()
+            .u64s("bins", &self.bins)
     }
 
-    /// Parses a report serialized by [`EvalReport::to_json`].
+    /// Parses a report serialized by [`EvalReport::fields`].
     ///
     /// # Errors
     ///
@@ -398,59 +398,40 @@ fn duration_us(d: Duration) -> u64 {
 /// this string the store's point fingerprint and the worker protocol's
 /// job payload at once.
 pub fn run_to_json(run: &BenchRun) -> String {
-    let sched = match &run.sched {
-        SchedSpec::Software(policy) => JsonObject::new()
-            .str("type", "software")
-            .str("policy", &policy.label())
-            .finish(),
-        SchedSpec::Minnow { wdp_credits } => JsonObject::new()
-            .str("type", "minnow")
-            .opt_u64("credits", wdp_credits.map(u64::from))
-            .finish(),
-        SchedSpec::MinnowWithHw(hw) => JsonObject::new()
-            .str("type", "minnow-hw")
-            .str(
+    let obj = JsonObject::with_capacity(512)
+        .str("workload", run.kind.name())
+        // Shortest-roundtrip formatting: the worker must simulate the
+        // *exact* f64, not a six-decimal truncation of it.
+        .raw("scale", &run.scale.to_string())
+        .u64("seed", run.seed)
+        .u64("threads", run.threads as u64)
+        .object("sched", |o| match &run.sched {
+            SchedSpec::Software(policy) => o.str("type", "software").str("policy", &policy.label()),
+            SchedSpec::Minnow { wdp_credits } => o
+                .str("type", "minnow")
+                .opt_u64("credits", wdp_credits.map(u64::from)),
+            SchedSpec::MinnowWithHw(hw) => o.str("type", "minnow-hw").str(
                 "hw",
                 match hw {
                     HwKind::Stride => "stride",
                     HwKind::Imp => "imp",
                 },
-            )
-            .finish(),
-        SchedSpec::Bsp(lg) => JsonObject::new()
-            .str("type", "bsp")
-            .opt_u64("lg", lg.map(u64::from))
-            .finish(),
-    };
-    let core = JsonObject::new()
-        .bool("perfect_branch", run.core_mode.perfect_branch)
-        .bool("no_fence", run.core_mode.no_fence)
-        .finish();
-    let mut obj = JsonObject::new()
-        .str("workload", run.kind.name())
-        // Shortest-roundtrip formatting: the worker must simulate the
-        // *exact* f64, not a six-decimal truncation of it.
-        .raw("scale", &format!("{}", run.scale))
-        .u64("seed", run.seed)
-        .u64("threads", run.threads as u64)
-        .raw("sched", &sched)
-        .raw("core", &core)
+            ),
+            SchedSpec::Bsp(lg) => o.str("type", "bsp").opt_u64("lg", lg.map(u64::from)),
+        })
+        .object("core", |o| {
+            o.bool("perfect_branch", run.core_mode.perfect_branch)
+                .bool("no_fence", run.core_mode.no_fence)
+        })
         .opt_u64("channels", run.channels.map(|c| c as u64))
         .opt_u64("rob", run.rob.map(|r| r as u64));
-    match run.l2 {
-        Some((bytes, ways)) => {
-            let l2 = JsonObject::new()
-                .u64("bytes", bytes as u64)
-                .u64("ways", ways as u64)
-                .finish();
-            obj = obj.raw("l2", &l2);
-        }
-        None => obj = obj.raw("l2", "null"),
-    }
-    match &run.engine {
-        Some(e) => {
-            let engine = JsonObject::new()
-                .u64("local_queue", e.local_queue as u64)
+    let obj = match run.l2 {
+        Some((bytes, ways)) => obj.object("l2", |o| o.u64("bytes", bytes as u64).u64("ways", ways as u64)),
+        None => obj.raw("l2", "null"),
+    };
+    let obj = match &run.engine {
+        Some(e) => obj.object("engine", |o| {
+            o.u64("local_queue", e.local_queue as u64)
                 .u64("local_queue_latency", e.local_queue_latency)
                 .u64("threadlet_queue", e.threadlet_queue as u64)
                 .u64("load_buffer", e.load_buffer as u64)
@@ -458,19 +439,17 @@ pub fn run_to_json(run: &BenchRun) -> String {
                 .u64("context_bytes", e.context_bytes as u64)
                 .u64("data_memory_bytes", e.data_memory_bytes as u64)
                 .u64("refill_threshold", e.refill_threshold as u64)
-                .finish();
-            obj = obj.raw("engine", &engine);
-        }
-        None => obj = obj.raw("engine", "null"),
-    }
-    let input = match &run.input {
-        Some(spec) => format!("\"{}\"", crate::json::escape(&spec.path.to_string_lossy())),
-        None => "null".into(),
+        }),
+        None => obj.raw("engine", "null"),
     };
-    obj.u64("task_limit", run.task_limit)
-        .bool("serial_baseline", run.serial_baseline)
-        .raw("input", &input)
-        .finish()
+    let obj = obj
+        .u64("task_limit", run.task_limit)
+        .bool("serial_baseline", run.serial_baseline);
+    match &run.input {
+        Some(spec) => obj.str("input", &spec.path.to_string_lossy()),
+        None => obj.raw("input", "null"),
+    }
+    .finish()
 }
 
 /// Parses a [`run_to_json`] wire form back into an executable
@@ -478,10 +457,7 @@ pub fn run_to_json(run: &BenchRun) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the malformed field. Software runs are
-/// accepted only with the workload's own paper policy — the named
-/// sweeps and declared spaces never use another, and silently
-/// substituting one would break byte-identity.
+/// Returns a message naming the malformed field.
 pub fn run_from_json(doc: &Json) -> Result<BenchRun, String> {
     let workload = doc.str_field("workload")?;
     let kind = WorkloadKind::ALL
@@ -492,16 +468,11 @@ pub fn run_from_json(doc: &Json) -> Result<BenchRun, String> {
     let sched_doc = doc.get("sched").ok_or("missing `sched` object")?;
     let sched = match sched_doc.str_field("type")? {
         "software" => {
-            let policy = kind.build_policy();
             let label = sched_doc.str_field("policy")?;
-            if label != policy.label() {
-                return Err(format!(
-                    "software policy `{label}` is not {}'s paper policy `{}`",
-                    kind.name(),
-                    policy.label()
-                ));
-            }
-            SchedSpec::Software(policy)
+            SchedSpec::Software(
+                PolicyKind::from_label(label)
+                    .ok_or_else(|| format!("unknown software policy `{label}`"))?,
+            )
         }
         "minnow" => SchedSpec::Minnow {
             wdp_credits: match sched_doc.get("credits") {
@@ -517,11 +488,14 @@ pub fn run_from_json(doc: &Json) -> Result<BenchRun, String> {
             "imp" => HwKind::Imp,
             other => return Err(format!("unknown hw prefetcher `{other}`")),
         }),
+        // `lg` shifts a priority, so 64 or more is no bucket width.
         "bsp" => SchedSpec::Bsp(match sched_doc.get("lg") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
                 u32::try_from(v.as_u64().ok_or("non-integer `lg`")?)
-                    .map_err(|_| "`lg` out of range")?,
+                    .ok()
+                    .filter(|&lg| lg < 64)
+                    .ok_or("`lg` out of range")?,
             ),
         }),
         other => return Err(format!("unknown sched type `{other}`")),
@@ -624,19 +598,66 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_paper_software_policies_and_junk() {
+    fn every_software_policy_crosses_the_wire() {
+        for policy in [
+            PolicyKind::Fifo,
+            PolicyKind::Lifo,
+            PolicyKind::Chunked(16),
+            PolicyKind::Obim(0),
+            PolicyKind::Obim(3),
+            PolicyKind::Strict,
+        ] {
+            let run = BenchRun::new(WorkloadKind::Bfs, 2, SchedSpec::Software(policy));
+            let back = roundtrip(&run);
+            assert!(
+                matches!(back.sched, SchedSpec::Software(p) if p == policy),
+                "{}",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_software_policies_and_junk() {
         let run = BenchRun::software_default(WorkloadKind::Bfs, 2);
-        let tampered = run_to_json(&run).replace(
-            &format!("\"policy\":\"{}\"", match &run.sched {
-                SchedSpec::Software(p) => p.label().to_string(),
+        let wire = run_to_json(&run);
+        for bad in [
+            "definitely-not",
+            "chunked(0)",
+            "chunked(1000000000000)",
+            "obim(64)",
+            "OBIM(3)",
+        ] {
+            let label = match &run.sched {
+                SchedSpec::Software(p) => p.label(),
                 _ => unreachable!(),
-            }),
-            "\"policy\":\"definitely-not\"",
-        );
-        let doc = Json::parse(&tampered).unwrap();
-        assert!(run_from_json(&doc).is_err());
+            };
+            let tampered = wire.replace(
+                &format!("\"policy\":\"{label}\""),
+                &format!("\"policy\":\"{bad}\""),
+            );
+            assert_ne!(tampered, wire);
+            let doc = Json::parse(&tampered).unwrap();
+            assert_eq!(
+                run_from_json(&doc).err(),
+                Some(format!("unknown software policy `{bad}`"))
+            );
+        }
         let doc = Json::parse("{\"workload\":\"WAT\"}").unwrap();
         assert!(run_from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn bsp_bucket_shifts_of_64_or_more_are_refused() {
+        let wire = |lg: &str| {
+            let run = BenchRun::new(WorkloadKind::Sssp, 2, SchedSpec::Bsp(Some(3)));
+            let wire = run_to_json(&run).replace("\"lg\":3", &format!("\"lg\":{lg}"));
+            run_from_json(&Json::parse(&wire).unwrap())
+        };
+        assert!(matches!(wire("63").unwrap().sched, SchedSpec::Bsp(Some(63))));
+        for lg in ["64", "4294967296"] {
+            assert_eq!(wire(lg).err().as_deref(), Some("`lg` out of range"), "{lg}");
+        }
     }
 
     #[test]
@@ -653,7 +674,7 @@ mod tests {
             full.makespan * flat.cores,
             "accounting stays closed through the flattening"
         );
-        let doc = Json::parse(&flat.to_json()).unwrap();
+        let doc = Json::parse(&flat.fields(JsonObject::new()).finish()).unwrap();
         assert_eq!(EvalReport::from_json(&doc).unwrap(), flat);
     }
 

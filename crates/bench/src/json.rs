@@ -52,6 +52,23 @@ fn number_into(out: &mut String, v: f64) {
     }
 }
 
+/// Appends the decimal digits of `v`.
+fn u64_into(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
 /// Renders an `f64` as a JSON value: fixed precision, `null` when not
 /// finite.
 pub fn number(v: f64) -> String {
@@ -61,17 +78,18 @@ pub fn number(v: f64) -> String {
 }
 
 /// A JSON object under construction; fields appear in insertion order.
-/// The whole object, braces included, is built in one buffer.
+/// The whole object, braces and nested objects included, is built in
+/// one buffer.
 #[derive(Debug)]
 pub struct JsonObject {
     out: String,
+    /// No field written yet in the innermost open object.
+    empty: bool,
 }
 
 impl Default for JsonObject {
     fn default() -> Self {
-        let mut out = String::with_capacity(64);
-        out.push('{');
-        JsonObject { out }
+        JsonObject::with_capacity(64)
     }
 }
 
@@ -81,10 +99,19 @@ impl JsonObject {
         JsonObject::default()
     }
 
+    /// Starts an empty object in a buffer of `bytes` capacity, for a
+    /// caller that knows its size (and may append to the finished text).
+    pub fn with_capacity(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push('{');
+        JsonObject { out, empty: true }
+    }
+
     fn key(&mut self, key: &str) {
-        if self.out.len() > 1 {
+        if !self.empty {
             self.out.push(',');
         }
+        self.empty = false;
         self.out.push('"');
         escape_into(&mut self.out, key);
         self.out.push_str("\":");
@@ -102,7 +129,21 @@ impl JsonObject {
     /// Adds an unsigned integer field.
     pub fn u64(mut self, key: &str, value: u64) -> Self {
         self.key(key);
-        let _ = write!(self.out, "{value}");
+        u64_into(&mut self.out, value);
+        self
+    }
+
+    /// Adds an array-of-unsigned-integers field.
+    pub fn u64s(mut self, key: &str, values: &[u64]) -> Self {
+        self.key(key);
+        self.out.push('[');
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            u64_into(&mut self.out, v);
+        }
+        self.out.push(']');
         self
     }
 
@@ -124,9 +165,7 @@ impl JsonObject {
     pub fn opt_u64(mut self, key: &str, value: Option<u64>) -> Self {
         self.key(key);
         match value {
-            Some(v) => {
-                let _ = write!(self.out, "{v}");
-            }
+            Some(v) => u64_into(&mut self.out, v),
             None => self.out.push_str("null"),
         }
         self
@@ -137,6 +176,18 @@ impl JsonObject {
         self.key(key);
         self.out.push_str(value);
         self
+    }
+
+    /// Adds a nested object field whose fields `fill` writes into this
+    /// object's buffer.
+    pub fn object(mut self, key: &str, fill: impl FnOnce(JsonObject) -> JsonObject) -> Self {
+        self.key(key);
+        self.out.push('{');
+        self.empty = true;
+        let mut obj = fill(self);
+        obj.out.push('}');
+        obj.empty = false;
+        obj
     }
 
     /// Finishes the object, returning its JSON text.
@@ -178,6 +229,23 @@ mod tests {
             s,
             "{\"name\":\"a \\\"quoted\\\"\\nline\",\"count\":42,\"ratio\":0.500000,\
              \"ok\":true,\"missing\":null,\"nested\":{\"x\":1}}"
+        );
+    }
+
+    #[test]
+    fn nested_objects_and_integer_arrays_share_the_buffer() {
+        let s = JsonObject::with_capacity(8)
+            .object("empty", |o| o)
+            .object("inner", |o| {
+                o.u64("x", 0).object("deeper", |o| o.bool("y", false))
+            })
+            .u64s("none", &[])
+            .u64s("ns", &[0, 7, u64::MAX])
+            .finish();
+        assert_eq!(
+            s,
+            "{\"empty\":{},\"inner\":{\"x\":0,\"deeper\":{\"y\":false}},\"none\":[],\
+             \"ns\":[0,7,18446744073709551615]}"
         );
     }
 

@@ -9,19 +9,35 @@
 //! explore journal, the `minnow-serve` wire protocol, and the schema
 //! tests.
 //!
+//! An object is its field list in document order,
+//! `Vec<(String, Json)>`: the documents read here have a few dozen
+//! fields at most, so a backwards scan finds a key faster than a tree
+//! is built. A repeated key keeps every occurrence; lookups return its
+//! last value. Equality is derived, so two objects are equal when
+//! they hold the same fields in the same order. Parsing is linear in
+//! the input.
+//!
+//! Nesting is bounded at [`MAX_DEPTH`] levels, so a line of a million
+//! `[` is an error, not a stack overflow. `tests/json_props.rs` keeps
+//! the previous, map-based reader as an oracle and checks that both
+//! accept and refuse the same documents with the same messages.
+//!
 //! Unsigned integer tokens parse to [`Json::Int`] and stay **exact**
 //! over the full `u64` range — derived point seeds are genuine 64-bit
 //! values, and routing them through an `f64` would silently round
 //! everything above 2^53. Every other number is an [`Json::Number`]
 //! `f64`.
 
-use std::collections::BTreeMap;
+/// The deepest nesting of arrays and objects a document may have. The
+/// workspace writes four levels at most.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// Object; insertion order preserved, lookups by key.
-    Object(BTreeMap<String, Json>),
+    /// Object: its fields in document order. A repeated key keeps every
+    /// occurrence; [`Json::get`] returns the last one's value.
+    Object(Vec<(String, Json)>),
     /// Array.
     Array(Vec<Json>),
     /// String.
@@ -48,6 +64,7 @@ impl Json {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -57,10 +74,11 @@ impl Json {
         Ok(v)
     }
 
-    /// Object field lookup; `None` for non-objects and missing keys.
+    /// Object field lookup: the last value of `key`; `None` for
+    /// non-objects and missing keys.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Object(fields) => fields.get(key),
+            Json::Object(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -159,6 +177,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,29 +190,57 @@ impl<'a> Parser<'a> {
         }
     }
 
+    // The error texts are built out of line, off the path every byte
+    // takes.
+    #[inline]
     fn peek(&self) -> Result<u8, String> {
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| format!("unexpected end of input at {}", self.pos))
+        match self.bytes.get(self.pos) {
+            Some(&b) => Ok(b),
+            None => Err(self.end_of_input()),
+        }
     }
 
+    #[cold]
+    fn end_of_input(&self) -> String {
+        format!("unexpected end of input at {}", self.pos)
+    }
+
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek()? != b {
-            return Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                b as char, self.pos, self.bytes[self.pos] as char
-            ));
+            return Err(self.unexpected(b));
         }
         self.pos += 1;
         Ok(())
     }
 
+    #[cold]
+    fn unexpected(&self, b: u8) -> String {
+        format!(
+            "expected {:?} at byte {}, got {:?}",
+            b as char, self.pos, self.bytes[self.pos] as char
+        )
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::String(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -211,18 +259,22 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut fields = BTreeMap::new();
         self.skip_ws();
         if self.peek()? == b'}' {
             self.pos += 1;
-            return Ok(Json::Object(fields));
+            return Ok(Json::Object(Vec::new()));
         }
+        // Room for most objects the workspace writes, so a request or
+        // reply reallocates few lists. Eight fields take 448 bytes, less
+        // than one `BTreeMap` leaf, so small objects cost less memory
+        // than they did as maps.
+        let mut fields = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            fields.insert(key, self.value()?);
+            fields.push((key, self.value()?));
             self.skip_ws();
             match self.peek()? {
                 b',' => self.pos += 1,
@@ -267,7 +319,14 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Most strings have no escape: one scan, one exact allocation.
+        let start = self.pos;
+        self.skip_plain();
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(self.text[start..self.pos - 1].to_owned());
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek()? {
                 b'"' => {
@@ -389,5 +448,42 @@ mod tests {
     fn strings_unescape() {
         let doc = Json::parse("{\"s\":\"a\\n\\\"b\\\"\\u0041\"}").unwrap();
         assert_eq!(doc.str_field("s").unwrap(), "a\n\"b\"A");
+    }
+
+    #[test]
+    fn repeated_keys_read_their_last_value() {
+        let doc = Json::parse("{\"a\":1,\"b\":[true],\"a\":2}").unwrap();
+        assert_eq!(doc.u64_field("a").unwrap(), 2);
+        let Json::Object(fields) = &doc else {
+            panic!("{doc:?}")
+        };
+        assert_eq!(fields.len(), 3, "every occurrence is kept");
+        assert_eq!(fields[0], ("a".to_string(), Json::Int(1)));
+        assert_eq!(Json::parse("{}"), Ok(Json::Object(Vec::new())));
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_into_the_rest() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        // A megabyte of `[` on a small stack: an error, not an abort.
+        let handle = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| Json::parse(&"[".repeat(1 << 20)))
+            .unwrap();
+        assert!(handle.join().unwrap().is_err());
     }
 }

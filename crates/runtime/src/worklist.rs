@@ -337,6 +337,11 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// The largest chunk size [`PolicyKind::from_label`] accepts. A chunk
+    /// is allocated whole when it is opened, so a size read from a
+    /// request must be bounded; the workspace builds chunks of 16.
+    pub const MAX_CHUNK: usize = 4096;
+
     /// Instantiates the policy.
     pub fn build(self) -> Box<dyn Worklist + Send> {
         match self {
@@ -359,6 +364,30 @@ impl PolicyKind {
         }
     }
 
+    /// The policy a [`PolicyKind::label`] names: its exact inverse, so
+    /// `from_label(&p.label()) == Some(p)`. `None` for any other text,
+    /// for a chunk size of 0 or above [`PolicyKind::MAX_CHUNK`], and for
+    /// a bucket shift of 64 or more, which no worklist can be built with.
+    pub fn from_label(label: &str) -> Option<PolicyKind> {
+        let policy = match label {
+            "fifo" => PolicyKind::Fifo,
+            "lifo" => PolicyKind::Lifo,
+            "strict" => PolicyKind::Strict,
+            _ => {
+                let (name, arg) = label.strip_suffix(')')?.split_once('(')?;
+                match name {
+                    "chunked" => PolicyKind::Chunked(
+                        arg.parse().ok().filter(|k| (1..=Self::MAX_CHUNK).contains(k))?,
+                    ),
+                    "obim" => PolicyKind::Obim(arg.parse().ok().filter(|&lg| lg < 64)?),
+                    _ => return None,
+                }
+            }
+        };
+        // Refuses spellings `parse` forgives, such as `chunked(+16)`.
+        (policy.label() == label).then_some(policy)
+    }
+
     /// Whether the policy respects priorities at all.
     pub fn is_ordered(self) -> bool {
         matches!(self, PolicyKind::Obim(_) | PolicyKind::Strict)
@@ -371,6 +400,41 @@ mod tests {
 
     fn t(p: u64, n: u32) -> Task {
         Task::new(p, n)
+    }
+
+    #[test]
+    fn labels_parse_back_to_their_policy() {
+        for p in [
+            PolicyKind::Fifo,
+            PolicyKind::Lifo,
+            PolicyKind::Chunked(1),
+            PolicyKind::Chunked(16),
+            PolicyKind::Chunked(PolicyKind::MAX_CHUNK),
+            PolicyKind::Obim(0),
+            PolicyKind::Obim(63),
+            PolicyKind::Strict,
+        ] {
+            assert_eq!(PolicyKind::from_label(&p.label()), Some(p), "{}", p.label());
+        }
+        for bad in [
+            "",
+            "FIFO",
+            "fifo()",
+            "chunked",
+            "chunked()",
+            "chunked(0)",
+            "chunked(4097)",
+            "chunked(1000000000000)",
+            "chunked(+16)",
+            "chunked(016)",
+            "chunked(16",
+            "obim(64)",
+            "obim(-1)",
+            "obim(3)x",
+            "heap(3)",
+        ] {
+            assert_eq!(PolicyKind::from_label(bad), None, "{bad}");
+        }
     }
 
     #[test]

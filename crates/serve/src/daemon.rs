@@ -202,13 +202,13 @@ impl Inner {
     pub(crate) fn handle_doc(self: &Arc<Inner>, doc: &Json) -> OpOutcome {
         ServeStats::bump(&self.stats.requests);
         let op = match doc.str_field("op") {
-            Ok(op) => op.to_string(),
+            Ok(op) => op,
             Err(e) => return OpOutcome::err("?", &e),
         };
         if self.cfg.verbose {
             eprintln!("[serve] op {op}");
         }
-        match op.as_str() {
+        match op {
             "ping" => OpOutcome::ok(
                 JsonObject::new()
                     .bool("ok", true)
@@ -243,16 +243,8 @@ impl Inner {
     }
 
     fn op_eval(self: &Arc<Inner>, doc: &Json) -> OpOutcome {
-        let namespace = doc
-            .get("space")
-            .and_then(Json::as_str)
-            .unwrap_or("adhoc")
-            .to_string();
-        let id = doc
-            .get("id")
-            .and_then(Json::as_str)
-            .unwrap_or("eval")
-            .to_string();
+        let namespace = doc.get("space").and_then(Json::as_str).unwrap_or("adhoc");
+        let id = doc.get("id").and_then(Json::as_str).unwrap_or("eval");
         let run = match doc.get("run") {
             Some(run_doc) => match minnow_bench::eval::run_from_json(run_doc) {
                 Ok(run) => run,
@@ -260,15 +252,16 @@ impl Inner {
             },
             None => return OpOutcome::err("eval", "missing `run` object"),
         };
-        match self.evaluate_one(&namespace, &id, run, false) {
+        match self.evaluate_one(namespace, id, run, false) {
+            // One buffer with room for the whole reply.
             Ok(resp) => OpOutcome::ok(
-                JsonObject::new()
+                JsonObject::with_capacity(1024 + resp.id.len())
                     .bool("ok", true)
                     .str("op", "eval")
                     .str("id", &resp.id)
                     .bool("cached", resp.cached)
                     .u64("wall_us", resp.wall_us)
-                    .raw("report", &resp.report.to_json())
+                    .object("report", |o| resp.report.fields(o))
                     .finish(),
             ),
             Err(EvalFailure::Busy(open)) => {

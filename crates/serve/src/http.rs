@@ -165,9 +165,11 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
         }
     };
     match &mut doc {
-        Json::Object(fields) => {
-            fields.insert("op".into(), Json::String(op.into()));
-        }
+        // Set the value lookups read (a repeated key's last), or add it.
+        Json::Object(fields) => match fields.iter_mut().rev().find(|(k, _)| k == "op") {
+            Some((_, value)) => *value = Json::String(op.into()),
+            None => fields.push(("op".into(), Json::String(op.into()))),
+        },
         _ => {
             respond(&mut writer, 400, None, &error_line(op, "body must be a JSON object"));
             return;

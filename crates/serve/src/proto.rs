@@ -120,7 +120,7 @@ pub fn result_line(seq: u64, id: &str, run: &BenchRun, report: &EvalReport, wall
         .u64("mem_accesses", report.mem_accesses)
         .bool("timed_out", report.timed_out)
         .u64("wall_us", wall_us)
-        .raw("report", &report.to_json())
+        .object("report", |o| report.fields(o))
         .finish()
 }
 

@@ -103,7 +103,7 @@ pub fn store_key(namespace: &str, run: &BenchRun) -> Result<String, String> {
         Some(spec) => input_digest(&spec.path)?,
         None => "gen".into(),
     };
-    Ok(format!("{namespace}|{}|in:{digest}", run_to_json(run)))
+    Ok([namespace, "|", &run_to_json(run), "|in:", &digest].concat())
 }
 
 /// One memoized evaluation: the deterministic report plus the original
@@ -149,7 +149,7 @@ fn persist_line(key: &str, eval: &StoredEval) -> String {
     JsonObject::new()
         .str("key", key)
         .u64("sim_wall_us", eval.sim_wall_us)
-        .raw("report", &eval.report.to_json())
+        .object("report", |o| eval.report.fields(o))
         .finish()
 }
 
@@ -436,6 +436,21 @@ mod tests {
             store_key("adhoc", &a).unwrap(),
             store_key("adhoc", &b).unwrap(),
             "seed is part of the address"
+        );
+    }
+
+    #[test]
+    fn a_paper_policy_software_runs_key_is_unchanged() {
+        // The bytes a store written before any policy could cross the
+        // wire holds for this point: it must still hit.
+        let run = BenchRun::software_default(WorkloadKind::Sssp, 4);
+        assert_eq!(
+            store_key("adhoc", &run).unwrap(),
+            "adhoc|{\"workload\":\"SSSP\",\"scale\":0.3,\"seed\":42,\"threads\":4,\
+             \"sched\":{\"type\":\"software\",\"policy\":\"obim(3)\"},\
+             \"core\":{\"perfect_branch\":false,\"no_fence\":false},\"channels\":null,\
+             \"rob\":null,\"l2\":null,\"engine\":null,\"task_limit\":20000000,\
+             \"serial_baseline\":false,\"input\":null}|in:gen"
         );
     }
 

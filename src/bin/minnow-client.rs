@@ -46,8 +46,7 @@ common:
 eval flags:
   --workload W     sssp|bfs|g500|cc|pr|tc|bc, any case (default BFS)
   --space NS       store namespace (default adhoc)
-{}  defaults: --threads 4 --scale 0.1 --seed 42 --sched minnow; software
-  runs use the workload's paper policy
+{}  defaults: --threads 4 --scale 0.1 --seed 42 --sched minnow
 
 sweep options:
   --scale F --seed N --headline-threads N --max-threads N
@@ -180,7 +179,6 @@ fn cmd_eval(addr: &ServeAddr, argv: &mut ArgStream) -> Result<ExitCode, String> 
                     .ok_or_else(|| format!("unknown workload `{name}`"))?;
             }
             "--space" => space = argv.value("--space")?,
-            "--policy" => return Err("the daemon runs the paper policy only".into()),
             _ if point.accept(&flag, argv)? => {}
             other => return Err(format!("unknown eval flag `{other}`")),
         }

@@ -26,10 +26,9 @@ use minnow::bench::runner::BenchRun;
 fn usage() -> String {
     format!(
         "usage: minnow-run <sssp|bfs|g500|cc|pr|tc|bc> [options]\n\n\
-         options:\n{}{}{}  --json           print the sweep's per-point JSON record\n\n\
+         options:\n{}{}  --json           print the sweep's per-point JSON record\n\n\
          defaults: --threads 8 --scale 0.5 --seed 42 --sched wdp\n",
         PointFlags::USAGE,
-        PointFlags::POLICY_USAGE,
         InputFlags::USAGE,
     )
 }

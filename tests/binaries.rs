@@ -143,19 +143,28 @@ fn bad_command_lines_exit_nonzero_with_the_usage() {
         let usage = !args.contains(&"--input");
         assert_eq!(err.contains("usage: minnow-run"), usage, "{args:?}: {err}");
     }
-    // The client parses the same scheduler vocabulary before it connects,
-    // and refuses `--policy`, as the daemon runs the paper policy only.
-    for (flag, value, want) in [
-        ("--sched", "minnow-wdp", "unknown scheduler `minnow-wdp`"),
-        ("--policy", "fifo", "the daemon runs the paper policy only"),
-    ] {
-        let out = run_bin(
-            env!("CARGO_BIN_EXE_minnow-client"),
-            &["--socket", "/nonexistent/minnow.sock", "eval", flag, value],
-        );
-        assert_eq!(out.status.code(), Some(1));
-        assert!(stderr(&out).contains(want), "{}", stderr(&out));
-    }
+    // The client parses the same scheduler and policy vocabulary before
+    // it connects; a point it accepts fails only at the connect.
+    let client = |args: &[&str], want: &str| {
+        let mut argv = vec!["--socket", "/nonexistent/minnow.sock", "eval"];
+        argv.extend(args);
+        let out = run_bin(env!("CARGO_BIN_EXE_minnow-client"), &argv);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).contains(want), "{args:?}: {}", stderr(&out));
+    };
+    client(&["--sched", "minnow-wdp"], "unknown scheduler `minnow-wdp`");
+    client(
+        &["--policy", "fifo"],
+        "--policy applies to --sched software only",
+    );
+    client(
+        &["--sched", "software", "--policy", "random"],
+        "unknown policy `random`",
+    );
+    client(
+        &["--sched", "software", "--policy", "fifo"],
+        "connect /nonexistent/minnow.sock",
+    );
 }
 
 /// Runs the explorer's smoke search into `out`, at most `max_evals`

@@ -3,7 +3,9 @@
 //! * **Malformed input is survivable** — parse errors and unknown ops
 //!   get an error line and the connection stays usable; an oversized
 //!   request gets an error line and a hang-up (the stream cannot be
-//!   re-synchronized).
+//!   re-synchronized); a request nested past the reader's depth bound,
+//!   or naming a worklist chunk too large to allocate, over the socket
+//!   or HTTP, gets an error and the daemon keeps answering.
 //! * **Memoization is total** — repeating an evaluation costs zero
 //!   simulator invocations, proved by the daemon's own counters.
 //! * **Duplicates are single-flight** — concurrent identical requests
@@ -20,11 +22,13 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use minnow::bench::eval::run_to_json;
-use minnow::bench::json_read::Json;
-use minnow::bench::runner::BenchRun;
+use minnow::bench::json_read::{Json, MAX_DEPTH};
+use minnow::bench::runner::{BenchRun, SchedSpec};
 use minnow::algos::WorkloadKind;
 use minnow::explore::{Journal, JournalHeader, Space, Strategy};
+use minnow::runtime::worklist::PolicyKind;
 use minnow::serve::client::{request, request_ok, Client};
+use minnow::serve::proto::MAX_REQUEST_BYTES;
 use minnow::serve::{journal_filename, Daemon, ServeAddr, ServeConfig, WorkerConfig};
 
 /// A per-test scratch directory (sockets, stores, journals).
@@ -321,5 +325,80 @@ fn http_front_end_maps_outcomes_to_statuses() {
     let released = blocked.join().unwrap().unwrap();
     assert_eq!(released.get("ok").and_then(Json::as_bool), Some(false));
     daemon.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_megabyte_of_open_brackets_gets_an_error_and_the_daemon_keeps_answering() {
+    let dir = scratch("deep");
+    let mut cfg = ServeConfig::new(dir.join("serve.sock"));
+    cfg.local_executors = 0;
+    cfg.out_dir = dir.clone();
+    cfg.http = Some("127.0.0.1:0".into());
+    let daemon = Daemon::start(cfg).expect("daemon start");
+    let http = daemon.http_addr().expect("http listener bound");
+    let uds = ServeAddr::Unix(daemon.socket().to_path_buf());
+    let deep = format!("nesting deeper than {MAX_DEPTH} levels");
+
+    // The longest line the socket takes: the cap, its newline included.
+    let mut client = Client::connect(&uds).unwrap();
+    let line = "[".repeat(MAX_REQUEST_BYTES as usize - 1);
+    let doc = client.request(&line).unwrap();
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    let err = doc.str_field("error").unwrap();
+    assert!(err.contains(&deep), "{err}");
+    // The same connection still answers.
+    client.request("{\"op\":\"ping\"}").unwrap();
+
+    // The largest body HTTP takes.
+    let body = "[".repeat(MAX_REQUEST_BYTES as usize);
+    let refused = http_post(http, "/eval", &body);
+    assert!(refused.starts_with("HTTP/1.1 400"), "{refused}");
+    assert!(refused.contains(&deep), "{refused}");
+
+    // So do fresh connections on both transports.
+    request_ok(&uds, "{\"op\":\"ping\"}").unwrap();
+    let ok = http_round_trip(http, "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+
+    shutdown_and_join(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversized_chunk_policy_is_refused_and_the_daemon_keeps_answering() {
+    let dir = scratch("chunk");
+    let mut cfg = ServeConfig::new(dir.join("serve.sock"));
+    // An executor that would simulate the point, were it accepted.
+    cfg.local_executors = 1;
+    cfg.out_dir = dir.clone();
+    cfg.http = Some("127.0.0.1:0".into());
+    let daemon = Daemon::start(cfg).expect("daemon start");
+    let http = daemon.http_addr().expect("http listener bound");
+    let uds = ServeAddr::Unix(daemon.socket().to_path_buf());
+    let mut run = BenchRun::new(
+        WorkloadKind::Bfs,
+        2,
+        SchedSpec::Software(PolicyKind::Chunked(16)),
+    );
+    run.scale = 0.05;
+    let wire = run_to_json(&run).replace("chunked(16)", "chunked(1000000000000)");
+    let refusal = "unknown software policy `chunked(1000000000000)`";
+
+    let doc = request(&uds, &format!("{{\"op\":\"eval\",\"run\":{wire}}}")).unwrap();
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    let err = doc.str_field("error").unwrap();
+    assert!(err.contains(refusal), "{err}");
+
+    let refused = http_post(http, "/eval", &format!("{{\"run\":{wire}}}"));
+    assert!(refused.starts_with("HTTP/1.1 400"), "{refused}");
+    assert!(refused.contains(refusal), "{refused}");
+
+    request_ok(&uds, "{\"op\":\"ping\"}").unwrap();
+    let ok = http_round_trip(http, "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+    assert_eq!(daemon.stats().sim_invocations.load(Ordering::Relaxed), 0);
+
+    shutdown_and_join(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
